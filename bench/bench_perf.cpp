@@ -283,6 +283,36 @@ void BM_PreemptiveBounded(benchmark::State& state) {
 // per-job full-scan/re-union, so the path now scales with the others.
 BENCHMARK(BM_PreemptiveBounded)->Range(16, 8192)->Complexity();
 
+// Width-aware FIRSTFIT on the campaign's `weighted` shape (g = 4, horizon
+// 10 + n/4): each machine a width-weighted OccupancyIndex, against the
+// frozen copy-and-probe baseline (O(n M k^2)).
+busy::WeightedInstance make_weighted(int n, int seed) {
+  core::Rng rng(static_cast<std::uint64_t>(seed));
+  gen::WeightedParams params;
+  params.num_jobs = n;
+  params.capacity = 4;
+  params.horizon = 10.0 + n / 4.0;
+  return gen::random_weighted(rng, params);
+}
+
+void BM_WeightedFirstFit(benchmark::State& state) {
+  const auto inst = make_weighted(static_cast<int>(state.range(0)), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::weighted_first_fit(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_WeightedFirstFit)->Range(16, 4096)->Complexity();
+
+void BM_WeightedFirstFitNaive(benchmark::State& state) {
+  const auto inst = make_weighted(static_cast<int>(state.range(0)), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::naive::weighted_first_fit(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_WeightedFirstFitNaive)->Range(16, 4096)->Complexity();
+
 void BM_WeightedExactBudget(benchmark::State& state) {
   // Anytime incumbent quality vs budget: one fixed weighted instance past
   // the measured exact gate (n = 22 vs gate 14), solved repeatedly under

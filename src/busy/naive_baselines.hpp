@@ -10,17 +10,26 @@
 // (b) the BM_*Naive baselines in bench/bench_perf.cpp, which record the
 // speedup in every BENCH_PR<k>.json. Do not optimize this header; its
 // value is staying frozen.
+//
+// The width-aware FIRSTFIT family (weighted first fit, the narrow/wide
+// split, the flexible freeze pipeline) and the weighted checker are frozen
+// here as they stood before the weighted OccupancyIndex insert: a full
+// copy of the machine's runs plus an O(k^2) peak-width probe per
+// candidate machine (tests/test_weighted.cpp, BM_WeightedFirstFitNaive).
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "busy/demand_profile.hpp"
+#include "busy/dp_unbounded.hpp"
 #include "busy/online.hpp"
 #include "busy/preemptive.hpp"
+#include "busy/weighted.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/continuous_instance.hpp"
 
@@ -594,6 +603,166 @@ inline PreemptiveBoundedSolution solve_preemptive_bounded(
 
   out.busy_time = core::busy_cost(inst, out.schedule);
   return out;
+}
+
+/// One committed run on a machine of the weighted model.
+struct WeightedRun {
+  core::Interval run;
+  int width;
+};
+
+/// busy/weighted's original peak: probe every run's start against every
+/// run (half-open, so empty runs never count). O(k^2).
+inline int weighted_peak_width(const std::vector<WeightedRun>& runs) {
+  int best = 0;
+  for (const WeightedRun& probe : runs) {
+    int at = 0;
+    for (const WeightedRun& other : runs) {
+      if (other.run.lo <= probe.run.lo && probe.run.lo < other.run.hi) {
+        at += other.width;
+      }
+    }
+    best = std::max(best, at);
+  }
+  return best;
+}
+
+/// busy/weighted's original first-fit loop: copy each open machine's
+/// runs, append the candidate and re-run the peak probe on the copy.
+inline void weighted_first_fit_into(const WeightedInstance& inst,
+                                    const std::vector<core::JobId>& order,
+                                    int cap, bool unit_widths,
+                                    int machine_base,
+                                    core::BusySchedule& sched,
+                                    int* machines_used) {
+  std::vector<std::vector<WeightedRun>> machines;
+  for (core::JobId j : order) {
+    const WeightedJob& wj = inst.job(j);
+    const WeightedRun candidate{
+        {wj.job.release, wj.job.release + wj.job.length},
+        unit_widths ? 1 : wj.width};
+    int chosen = -1;
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+      std::vector<WeightedRun> trial = machines[m];
+      trial.push_back(candidate);
+      if (weighted_peak_width(trial) <= cap) {
+        chosen = static_cast<int>(m);
+        break;
+      }
+    }
+    if (chosen < 0) {
+      machines.emplace_back();
+      chosen = static_cast<int>(machines.size()) - 1;
+    }
+    machines[static_cast<std::size_t>(chosen)].push_back(candidate);
+    sched.placements[static_cast<std::size_t>(j)] = {machine_base + chosen,
+                                                     wj.job.release};
+  }
+  *machines_used = static_cast<int>(machines.size());
+}
+
+inline std::vector<core::JobId> weighted_by_length_desc(
+    const WeightedInstance& inst, const std::vector<core::JobId>& ids) {
+  std::vector<core::JobId> order = ids;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](core::JobId a, core::JobId b) {
+                     return inst.job(a).job.length > inst.job(b).job.length;
+                   });
+  return order;
+}
+
+/// busy::weighted_first_fit's original body.
+inline core::BusySchedule weighted_first_fit(const WeightedInstance& inst) {
+  core::BusySchedule sched;
+  sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
+  std::vector<core::JobId> all(static_cast<std::size_t>(inst.size()));
+  std::iota(all.begin(), all.end(), core::JobId{0});
+  int used = 0;
+  weighted_first_fit_into(inst, weighted_by_length_desc(inst, all),
+                          inst.capacity(), /*unit_widths=*/false,
+                          /*machine_base=*/0, sched, &used);
+  return sched;
+}
+
+/// busy::narrow_wide_split's original body.
+inline core::BusySchedule narrow_wide_split(const WeightedInstance& inst) {
+  core::BusySchedule sched;
+  sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
+  std::vector<core::JobId> narrow;
+  std::vector<core::JobId> wide;
+  for (core::JobId j = 0; j < inst.size(); ++j) {
+    (2 * inst.job(j).width > inst.capacity() ? wide : narrow).push_back(j);
+  }
+  int wide_machines = 0;
+  weighted_first_fit_into(inst, weighted_by_length_desc(inst, wide),
+                          /*cap=*/1, /*unit_widths=*/true,
+                          /*machine_base=*/0, sched, &wide_machines);
+  int narrow_machines = 0;
+  weighted_first_fit_into(inst, weighted_by_length_desc(inst, narrow),
+                          inst.capacity(), /*unit_widths=*/false,
+                          /*machine_base=*/wide_machines, sched,
+                          &narrow_machines);
+  return sched;
+}
+
+/// busy::schedule_weighted_flexible's original body (DP freeze, then the
+/// frozen narrow/wide split above).
+inline core::BusySchedule schedule_weighted_flexible(
+    const WeightedInstance& inst) {
+  const UnboundedSolution dp = solve_unbounded(inst.unweighted());
+  std::vector<WeightedJob> frozen;
+  frozen.reserve(static_cast<std::size_t>(inst.size()));
+  for (core::JobId j = 0; j < inst.size(); ++j) {
+    const double s = dp.starts[static_cast<std::size_t>(j)];
+    frozen.push_back(
+        {{s, s + inst.job(j).job.length, inst.job(j).job.length},
+         inst.job(j).width});
+  }
+  const WeightedInstance frozen_inst(std::move(frozen), inst.capacity());
+  core::BusySchedule sched = naive::narrow_wide_split(frozen_inst);
+  for (core::JobId j = 0; j < inst.size(); ++j) {
+    sched.placements[static_cast<std::size_t>(j)].start =
+        dp.starts[static_cast<std::size_t>(j)];
+  }
+  return sched;
+}
+
+/// busy::check_weighted_schedule's original body: one O(n) placement scan
+/// per machine, then the O(k^2) peak probe on its runs.
+inline bool check_weighted_schedule(const WeightedInstance& inst,
+                                    const core::BusySchedule& sched,
+                                    std::string* why = nullptr,
+                                    double eps = 1e-9) {
+  auto fail = [&](std::string reason) {
+    if (why != nullptr) *why = std::move(reason);
+    return false;
+  };
+  if (static_cast<int>(sched.placements.size()) != inst.size()) {
+    return fail("placement count mismatch");
+  }
+  int machines = 0;
+  for (core::JobId j = 0; j < inst.size(); ++j) {
+    const auto& p = sched.placements[static_cast<std::size_t>(j)];
+    const core::ContinuousJob& job = inst.job(j).job;
+    if (p.machine < 0) return fail("job " + std::to_string(j) + " unassigned");
+    machines = std::max(machines, p.machine + 1);
+    if (p.start < job.release - eps || p.start > job.latest_start() + eps) {
+      return fail("job " + std::to_string(j) + " start outside window");
+    }
+  }
+  for (int m = 0; m < machines; ++m) {
+    std::vector<WeightedRun> runs;
+    for (core::JobId j = 0; j < inst.size(); ++j) {
+      const auto& p = sched.placements[static_cast<std::size_t>(j)];
+      if (p.machine != m) continue;
+      runs.push_back({{p.start, p.start + inst.job(j).job.length - eps},
+                      inst.job(j).width});
+    }
+    if (weighted_peak_width(runs) > inst.capacity()) {
+      return fail("machine " + std::to_string(m) + " exceeds width capacity");
+    }
+  }
+  return true;
 }
 
 }  // namespace abt::busy::naive

@@ -4,9 +4,12 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <tuple>
 
 #include "busy/dp_unbounded.hpp"
 #include "core/assert.hpp"
+#include "core/sweep.hpp"
 
 namespace abt::busy {
 
@@ -65,66 +68,50 @@ core::ContinuousInstance WeightedInstance::unweighted() const {
 
 namespace {
 
-/// Peak cumulative width on one machine, by sweep over the committed runs.
-struct WeightedRun {
-  Interval run;
-  int width;
-};
-
-int peak_width(const std::vector<WeightedRun>& runs) {
+/// Peak cumulative width of half-open runs (runs[i] carries widths[i]):
+/// every run's start probed against every run. O(k^2), which only the
+/// exact search's gated, handful-of-jobs machines pay.
+int peak_width(std::span<const Interval> runs, std::span<const int> widths) {
   int best = 0;
-  for (const WeightedRun& probe : runs) {
+  for (const Interval& probe : runs) {
     int at = 0;
-    for (const WeightedRun& other : runs) {
-      if (other.run.lo <= probe.run.lo && probe.run.lo < other.run.hi) {
-        at += other.width;
-      }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (runs[i].lo <= probe.lo && probe.lo < runs[i].hi) at += widths[i];
     }
     best = std::max(best, at);
   }
   return best;
 }
 
-/// Width-aware first fit over the given job order; `cap` is the machine
-/// budget (g for the full model, 1x widths replaced by 1 for the wide
-/// lane). Returns machine indices offset by `machine_base`.
-void first_fit_into(const WeightedInstance& inst,
-                    const std::vector<JobId>& order, int cap,
-                    bool unit_widths, int machine_base,
-                    BusySchedule& sched, int* machines_used) {
-  std::vector<std::vector<WeightedRun>> machines;
-  for (JobId j : order) {
-    const WeightedJob& wj = inst.job(j);
-    const WeightedRun candidate{
-        {wj.job.release, wj.job.release + wj.job.length},
-        unit_widths ? 1 : wj.width};
-    int chosen = -1;
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      std::vector<WeightedRun> trial = machines[m];
-      trial.push_back(candidate);
-      if (peak_width(trial) <= cap) {
-        chosen = static_cast<int>(m);
-        break;
-      }
-    }
-    if (chosen < 0) {
-      machines.emplace_back();
-      chosen = static_cast<int>(machines.size()) - 1;
-    }
-    machines[static_cast<std::size_t>(chosen)].push_back(candidate);
-    sched.placements[static_cast<std::size_t>(j)] = {machine_base + chosen,
-                                                     wj.job.release};
-  }
-  *machines_used = static_cast<int>(machines.size());
-}
-
-std::vector<JobId> by_length_desc(const WeightedInstance& inst,
-                                  const std::vector<JobId>& ids) {
-  std::vector<JobId> order = ids;
-  std::stable_sort(order.begin(), order.end(), [&](JobId a, JobId b) {
+/// Width-aware first fit over `ids` in non-increasing length order; `cap`
+/// is the machine budget (g for the full model, 1 with unit widths for the
+/// wide lane). Each machine is an OccupancyIndex weighted by width, so a
+/// candidate fits iff its run's peak load plus its own width stays within
+/// `cap` — O(log k) per probe. Places jobs on machines `machine_base`
+/// onwards and returns how many machines it opened.
+int first_fit_into(const WeightedInstance& inst, std::vector<JobId> ids,
+                   int cap, bool unit_widths, int machine_base,
+                   BusySchedule& sched) {
+  std::stable_sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
     return inst.job(a).job.length > inst.job(b).job.length;
   });
-  return order;
+  std::vector<core::OccupancyIndex> machines;
+  for (JobId j : ids) {
+    const WeightedJob& wj = inst.job(j);
+    const Interval run{wj.job.release, wj.job.release + wj.job.length};
+    const int width = unit_widths ? 1 : wj.width;
+    ABT_ASSERT(width <= cap, "job wider than the machine capacity");
+    std::size_t m = 0;
+    while (m < machines.size() &&
+           machines[m].max_coverage_in(run.lo, run.hi) + width > cap) {
+      ++m;
+    }
+    if (m == machines.size()) machines.emplace_back();
+    machines[m].insert(run, width);
+    sched.placements[static_cast<std::size_t>(j)] = {
+        machine_base + static_cast<int>(m), wj.job.release};
+  }
+  return static_cast<int>(machines.size());
 }
 
 }  // namespace
@@ -139,26 +126,32 @@ bool check_weighted_schedule(const WeightedInstance& inst,
   if (static_cast<int>(sched.placements.size()) != inst.size()) {
     return fail("placement count mismatch");
   }
-  int machines = 0;
+  // Width events (machine, coordinate, delta) of every machine in one
+  // array. Runs are shrunk by eps at the end; a run left empty covers no
+  // point, so it adds no events.
+  std::vector<std::tuple<int, double, int>> events;
+  events.reserve(2 * sched.placements.size());
   for (JobId j = 0; j < inst.size(); ++j) {
     const auto& p = sched.placements[static_cast<std::size_t>(j)];
     const ContinuousJob& job = inst.job(j).job;
     if (p.machine < 0) return fail("job " + std::to_string(j) + " unassigned");
-    machines = std::max(machines, p.machine + 1);
     if (p.start < job.release - eps || p.start > job.latest_start() + eps) {
       return fail("job " + std::to_string(j) + " start outside window");
     }
+    const double hi = p.start + job.length - eps;
+    if (!(p.start < hi)) continue;
+    events.emplace_back(p.machine, p.start, inst.job(j).width);
+    events.emplace_back(p.machine, hi, -inst.job(j).width);
   }
-  for (int m = 0; m < machines; ++m) {
-    std::vector<WeightedRun> runs;
-    for (JobId j = 0; j < inst.size(); ++j) {
-      const auto& p = sched.placements[static_cast<std::size_t>(j)];
-      if (p.machine != m) continue;
-      runs.push_back({{p.start, p.start + inst.job(j).job.length - eps},
-                      inst.job(j).width});
-    }
-    if (peak_width(runs) > inst.capacity()) {
-      return fail("machine " + std::to_string(m) + " exceeds width capacity");
+  // Machine-major sweep; at equal coordinates ends (negative deltas) sort
+  // first, because half-open runs that merely touch never overlap.
+  std::sort(events.begin(), events.end());
+  int load = 0;
+  for (const auto& [machine, at, delta] : events) {
+    load += delta;
+    if (load > inst.capacity()) {
+      return fail("machine " + std::to_string(machine) +
+                  " exceeds width capacity");
     }
   }
   return true;
@@ -171,9 +164,8 @@ BusySchedule weighted_first_fit(const WeightedInstance& inst) {
   sched.placements.assign(static_cast<std::size_t>(inst.size()), {});
   std::vector<JobId> all(static_cast<std::size_t>(inst.size()));
   std::iota(all.begin(), all.end(), JobId{0});
-  int used = 0;
-  first_fit_into(inst, by_length_desc(inst, all), inst.capacity(),
-                 /*unit_widths=*/false, /*machine_base=*/0, sched, &used);
+  first_fit_into(inst, std::move(all), inst.capacity(), /*unit_widths=*/false,
+                 /*machine_base=*/0, sched);
   return sched;
 }
 
@@ -191,15 +183,12 @@ BusySchedule narrow_wide_split(const WeightedInstance& inst) {
   // Wide jobs: at most one can share capacity with another wide job, so
   // pack them as a unit-capacity FIRSTFIT (disjoint wide jobs share a
   // machine).
-  int wide_machines = 0;
-  first_fit_into(inst, by_length_desc(inst, wide), /*cap=*/1,
-                 /*unit_widths=*/true, /*machine_base=*/0, sched,
-                 &wide_machines);
+  const int wide_machines =
+      first_fit_into(inst, std::move(wide), /*cap=*/1, /*unit_widths=*/true,
+                     /*machine_base=*/0, sched);
   // Narrow jobs: width-aware FIRSTFIT on fresh machines.
-  int narrow_machines = 0;
-  first_fit_into(inst, by_length_desc(inst, narrow), inst.capacity(),
-                 /*unit_widths=*/false, /*machine_base=*/wide_machines, sched,
-                 &narrow_machines);
+  first_fit_into(inst, std::move(narrow), inst.capacity(),
+                 /*unit_widths=*/false, /*machine_base=*/wide_machines, sched);
   return sched;
 }
 
@@ -221,22 +210,16 @@ std::optional<WeightedExactResult> solve_exact_weighted_anytime(
   long nodes = 0;
   bool stopped = false;
 
-  auto machine_runs = [&](int m) {
-    std::vector<WeightedRun> runs;
-    for (JobId j = 0; j < inst.size(); ++j) {
-      if (assignment[static_cast<std::size_t>(j)] == m) {
-        runs.push_back({{inst.job(j).job.release,
-                         inst.job(j).job.release + inst.job(j).job.length},
-                        inst.job(j).width});
-      }
-    }
-    return runs;
+  // Each machine's runs, pushed on assign and popped on unassign (the
+  // search is depth-first, so a machine's runs form a stack); `span`
+  // caches span_of(runs). peak_width sums integers and span_of sorts a
+  // copy, so both answer exactly what a rescan of the assignment would.
+  struct MachineRuns {
+    std::vector<Interval> runs;
+    std::vector<int> widths;
+    double span = 0.0;
   };
-  auto machine_span = [&](int m) {
-    std::vector<Interval> ivs;
-    for (const WeightedRun& r : machine_runs(m)) ivs.push_back(r.run);
-    return core::span_of(ivs);
-  };
+  std::vector<MachineRuns> machines(static_cast<std::size_t>(inst.size()));
 
   std::function<void(std::size_t, int, double)> dfs = [&](std::size_t index,
                                                           int used,
@@ -265,17 +248,23 @@ std::optional<WeightedExactResult> solve_exact_weighted_anytime(
       return;
     }
     const JobId j = order[index];
+    const Interval run{inst.job(j).job.release,
+                       inst.job(j).job.release + inst.job(j).job.length};
+    const int width = inst.job(j).width;
     for (int m = 0; m <= used; ++m) {
-      std::vector<WeightedRun> trial = machine_runs(m);
-      trial.push_back({{inst.job(j).job.release,
-                        inst.job(j).job.release + inst.job(j).job.length},
-                       inst.job(j).width});
-      if (peak_width(trial) > inst.capacity()) continue;
-      const double before = machine_span(m);
-      assignment[static_cast<std::size_t>(j)] = m;
-      const double after = machine_span(m);
-      dfs(index + 1, std::max(used, m + 1), cost - before + after);
-      assignment[static_cast<std::size_t>(j)] = -1;
+      MachineRuns& mr = machines[static_cast<std::size_t>(m)];
+      mr.runs.push_back(run);
+      mr.widths.push_back(width);
+      if (peak_width(mr.runs, mr.widths) <= inst.capacity()) {
+        const double before = mr.span;
+        mr.span = core::span_of(mr.runs);
+        assignment[static_cast<std::size_t>(j)] = m;
+        dfs(index + 1, std::max(used, m + 1), cost - before + mr.span);
+        assignment[static_cast<std::size_t>(j)] = -1;
+        mr.span = before;
+      }
+      mr.runs.pop_back();
+      mr.widths.pop_back();
     }
   };
   dfs(0, 0, 0.0);

@@ -122,8 +122,11 @@ class FlatOccupancyIndex {
   /// Best-fit drivers ask both questions about every candidate machine.
   int probe(RealTime lo, RealTime hi, RealTime* covered) const;
 
-  /// Adds one covering interval (no-op when empty).
-  void insert(const Interval& iv);
+  /// Adds one covering interval carrying `weight` units of coverage (no-op
+  /// when empty). Unit weight is the job count of the standard model; a
+  /// job's width w_j gives the cumulative-width profile of the weighted
+  /// model (busy/weighted.cpp), with every query then reading widths.
+  void insert(const Interval& iv, int weight = 1);
 
   /// Number of intervals inserted so far.
   [[nodiscard]] int size() const { return count_; }
@@ -206,8 +209,9 @@ class FlatOccupancyIndex {
   /// Halves full block b into blocks b and b+1 (B-tree leaf split).
   void split_block(std::size_t b);
 
-  /// Raises every level in [a, b) by one and repairs block maxima + tree.
-  void increment_range(Pos a, Pos b);
+  /// Raises every level in [a, b) by `weight` and repairs block maxima +
+  /// tree.
+  void increment_range(Pos a, Pos b, int weight);
 
   /// Regrows or repairs the block max-tree after blocks_[from..] changed.
   void on_blocks_changed(std::size_t from_block);

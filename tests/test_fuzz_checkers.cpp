@@ -6,9 +6,12 @@
 
 #include "active/minimal_feasible.hpp"
 #include "busy/greedy_tracking.hpp"
+#include "busy/naive_baselines.hpp"
+#include "busy/weighted.hpp"
 #include "core/active_schedule.hpp"
 #include "core/busy_schedule.hpp"
 #include "core/rng.hpp"
+#include "gen/extended_instances.hpp"
 #include "gen/random_instances.hpp"
 
 namespace abt {
@@ -118,6 +121,61 @@ TEST_P(BusyFuzz, CorruptedBusySchedulesAreRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusyFuzz, ::testing::Range(1, 9));
+
+class WeightedFuzz : public ::testing::TestWithParam<int> {};
+
+/// The weighted checker's event sweep against the frozen per-machine peak
+/// probe: random machine moves and start shifts of a feasible schedule must
+/// draw the same verdict and the same message from both, and the targeted
+/// corruptions must be rejected.
+TEST_P(WeightedFuzz, CorruptedWeightedSchedulesMatchFrozenVerdicts) {
+  core::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151ULL);
+  gen::WeightedParams params;
+  params.num_jobs = 40;
+  params.capacity = 4;
+  params.horizon = 16.0;
+  params.max_slack = 0.5;
+  const auto inst = gen::random_weighted(rng, params);
+  const auto base = busy::schedule_weighted_flexible(inst);
+  ASSERT_TRUE(busy::check_weighted_schedule(inst, base));
+  const int machines = base.machine_count();
+
+  for (int round = 0; round < 200; ++round) {
+    core::BusySchedule bad = base;
+    const int moves = static_cast<int>(rng.uniform_int(1, 4));
+    for (int k = 0; k < moves; ++k) {
+      auto& p = bad.placements[static_cast<std::size_t>(
+          rng.uniform_int(0, inst.size() - 1))];
+      if (rng.uniform_int(0, 1) == 0) {
+        p.machine = static_cast<int>(rng.uniform_int(0, machines));
+      } else {
+        p.start += rng.uniform_real(-0.5, 0.5);
+      }
+    }
+    std::string why;
+    std::string frozen_why;
+    const bool ok = busy::check_weighted_schedule(inst, bad, &why);
+    EXPECT_EQ(ok, busy::naive::check_weighted_schedule(inst, bad, &frozen_why))
+        << why << " vs " << frozen_why;
+    EXPECT_EQ(why, frozen_why);
+  }
+
+  // Targeted: every job on machine 0 overloads it (40 jobs of width up to
+  // 4 on a horizon of 16).
+  core::BusySchedule bad = base;
+  for (auto& p : bad.placements) p.machine = 0;
+  std::string why;
+  EXPECT_FALSE(busy::check_weighted_schedule(inst, bad, &why));
+  EXPECT_EQ(why, "machine 0 exceeds width capacity");
+  bad = base;
+  bad.placements[0].machine = -1;
+  EXPECT_FALSE(busy::check_weighted_schedule(inst, bad));
+  bad = base;
+  bad.placements[0].start = inst.job(0).job.release - 0.5;
+  EXPECT_FALSE(busy::check_weighted_schedule(inst, bad));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeightedFuzz, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace abt

@@ -181,6 +181,100 @@ TEST(OccupancyIndex, MatchesNaiveRangeMaxOnRandomWorkloads) {
   }
 }
 
+/// One interval of a weighted workload with the coverage it carries.
+struct WeightedIv {
+  Interval iv;
+  int weight;
+};
+
+/// Brute-force weighted step function: total weight of the intervals
+/// covering t (half-open, so empty intervals cover nothing).
+int weighted_coverage_at(const std::vector<WeightedIv>& ivs, double t) {
+  int total = 0;
+  for (const WeightedIv& w : ivs) {
+    if (w.iv.contains(t)) total += w.weight;
+  }
+  return total;
+}
+
+/// Max of the weighted step function over [lo, hi): its value on a range
+/// is attained at lo or at an interval endpoint inside the range.
+int weighted_range_max(const std::vector<WeightedIv>& ivs, double lo,
+                       double hi) {
+  if (hi <= lo) return 0;
+  int best = weighted_coverage_at(ivs, lo);
+  for (const WeightedIv& w : ivs) {
+    for (const double t : {w.iv.lo, w.iv.hi}) {
+      if (t > lo && t < hi) best = std::max(best, weighted_coverage_at(ivs, t));
+    }
+  }
+  return best;
+}
+
+/// Property: weighted inserts build exactly the brute-force weighted step
+/// function. Endpoints on a coarse grid make inserts land on existing
+/// breakpoints (touching and repeated endpoints, zero-length intervals);
+/// 300 inserts per trial grow each index to hundreds of breakpoints, so
+/// inserts keep splitting full blocks.
+TEST(OccupancyIndex, WeightedInsertMatchesBruteForceStepFunction) {
+  Rng rng(1207);
+  for (int trial = 0; trial < 8; ++trial) {
+    OccupancyIndex occ;
+    std::vector<WeightedIv> inserted;
+    const bool grid = trial % 2 == 0;
+    for (int op = 0; op < 300; ++op) {
+      double lo = rng.uniform_real(0.0, 60.0);
+      double len = rng.uniform_real(0.0, 6.0);
+      if (grid) {
+        lo = static_cast<double>(rng.uniform_int(0, 60));
+        len = static_cast<double>(rng.uniform_int(0, 6));
+      }
+      const WeightedIv w{{lo, lo + len},
+                         static_cast<int>(rng.uniform_int(1, 8))};
+      occ.insert(w.iv, w.weight);
+      inserted.push_back(w);
+      const double qlo = rng.uniform_real(-1.0, 61.0);
+      const double qhi = qlo + rng.uniform_real(0.0, 8.0);
+      ASSERT_EQ(occ.max_coverage_in(qlo, qhi),
+                weighted_range_max(inserted, qlo, qhi))
+          << "range [" << qlo << ", " << qhi << ") after " << op + 1
+          << " inserts";
+    }
+    const auto steps = occ.steps();
+    EXPECT_GT(steps.size(), 64u) << "the workload must span several blocks";
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      EXPECT_EQ(steps[i].second,
+                weighted_coverage_at(inserted, steps[i].first))
+          << "level at breakpoint " << steps[i].first;
+    }
+    occ.audit_invariants();
+  }
+}
+
+/// A weight-w insert is w unit inserts of the same interval: identical
+/// breakpoints, levels and answers.
+TEST(OccupancyIndex, WeightedInsertEqualsRepeatedUnitInserts) {
+  Rng rng(31);
+  OccupancyIndex weighted;
+  OccupancyIndex unit;
+  for (int op = 0; op < 200; ++op) {
+    const double lo = rng.uniform_real(0.0, 40.0);
+    const Interval iv{lo, lo + rng.uniform_real(0.0, 4.0)};
+    const int w = static_cast<int>(rng.uniform_int(1, 5));
+    weighted.insert(iv, w);
+    for (int k = 0; k < w; ++k) unit.insert(iv);
+  }
+  EXPECT_EQ(weighted.steps(), unit.steps());
+  for (int q = 0; q < 50; ++q) {
+    const double qlo = rng.uniform_real(-1.0, 41.0);
+    const double qhi = qlo + rng.uniform_real(0.0, 5.0);
+    EXPECT_EQ(weighted.max_coverage_in(qlo, qhi),
+              unit.max_coverage_in(qlo, qhi));
+    EXPECT_EQ(weighted.covered_measure_in(qlo, qhi),
+              unit.covered_measure_in(qlo, qhi));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence: the sweep-backed algorithms must reproduce the pre-refactor
 // quadratic implementations (kept verbatim in busy/naive_baselines.hpp)
