@@ -264,13 +264,35 @@ void BM_PreemptiveBoundedNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_PreemptiveBoundedNaive)->Range(16, 2048)->Complexity();
 
+// The g = infinity DP on the campaign's `flexible` shape (g = 4, seed 7),
+// the first stage of every busy/pipeline-* solver: the running-maximum
+// dead-window test against the frozen full scan of every candidate window.
+core::ContinuousInstance make_flexible(int n) {
+  engine::ScenarioSpec spec;
+  spec.name = "flexible";
+  spec.n = n;
+  spec.g = 4;
+  spec.seed = 7;
+  return engine::make_scenario(spec)->continuous;
+}
+
 void BM_UnboundedDp(benchmark::State& state) {
-  const auto inst = make_interval(static_cast<int>(state.range(0)), 8, 1.0);
+  const auto inst = make_flexible(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(busy::solve_unbounded(inst));
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_UnboundedDp)->Range(4, 32);
+BENCHMARK(BM_UnboundedDp)->Range(16, 4096)->Complexity();
+
+void BM_UnboundedDpNaive(benchmark::State& state) {
+  const auto inst = make_flexible(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(busy::naive::solve_unbounded(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_UnboundedDpNaive)->Range(16, 2048)->Complexity();
 
 void BM_PreemptiveBounded(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 9, 2.0);

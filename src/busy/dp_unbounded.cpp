@@ -73,11 +73,14 @@ class UnboundedSolver {
     r_.resize(static_cast<std::size_t>(n));
     p_.resize(static_cast<std::size_t>(n));
     k_.resize(static_cast<std::size_t>(n));
+    expiry_.resize(static_cast<std::size_t>(n));
     for (JobId j = 0; j < n; ++j) {
       const core::ContinuousJob& job = inst_.job(j);
       r_[static_cast<std::size_t>(j)] = job.release;
       p_[static_cast<std::size_t>(j)] = job.length;
       k_[static_cast<std::size_t>(j)] = job.latest_start();
+      expiry_[static_cast<std::size_t>(j)] = std::max(job.release,
+                                                      job.latest_start());
     }
     // Candidate window starts: releases and latest starts. An exchange
     // argument (push each window's anchor right, merging on collision)
@@ -146,42 +149,99 @@ class UnboundedSolver {
            p_[static_cast<std::size_t>(j)];
   }
 
-  /// All jobs not yet satisfied at state (t, pending): the carried
-  /// stragglers plus every job released at or after t. Pending jobs are all
-  /// released strictly before t and kept in (release, id) order, and the
-  /// suffix of `by_release_` from the binary-searched cut is in the same
-  /// order, so concatenation yields the canonical ordering with no sort.
-  [[nodiscard]] std::vector<JobId> unsatisfied_at(
-      double t, const std::vector<JobId>& pending) const {
+  /// First job of `by_release_` released at or after t.
+  [[nodiscard]] std::vector<JobId>::const_iterator released_from(
+      double t) const {
     const auto cut =
         std::lower_bound(release_sorted_.begin(), release_sorted_.end(), t);
-    const auto first =
-        by_release_.begin() + (cut - release_sorted_.begin());
-    std::vector<JobId> out;
-    out.reserve(pending.size() +
-                static_cast<std::size_t>(by_release_.end() - first));
-    out.insert(out.end(), pending.begin(), pending.end());
-    out.insert(out.end(), first, by_release_.end());
-    return out;
+    return by_release_.begin() + (cut - release_sorted_.begin());
+  }
+
+  /// All jobs not yet satisfied at state (t, pending), into `out`: the
+  /// carried stragglers plus every job released at or after t. Pending
+  /// jobs are all released strictly before t and kept in (release, id)
+  /// order, and the suffix of `by_release_` from the binary-searched cut is
+  /// in the same order, so concatenation yields the canonical ordering with
+  /// no sort.
+  void unsatisfied_at(double t, const std::vector<JobId>& pending,
+                      std::vector<JobId>& out) const {
+    out.assign(pending.begin(), pending.end());
+    out.insert(out.end(), released_from(t), by_release_.end());
   }
 
   /// Interns a pending vector, returning its pool id (hash-consing: equal
   /// vectors share one id and one stored copy). Lookup-first: the common
-  /// hit path allocates nothing — emplace would build and discard a map
-  /// node per call.
-  int intern(std::vector<JobId> pending) {
+  /// hit path allocates nothing, and a new set is stored at its own size.
+  int intern(const std::vector<JobId>& pending) {
     if (const auto it = interner_.find(pending); it != interner_.end()) {
       return it->second;
     }
     const auto it =
-        interner_.emplace(std::move(pending), static_cast<int>(pool_.size()))
-            .first;
+        interner_.emplace(pending, static_cast<int>(pool_.size())).first;
     pool_.push_back(&it->first);
     return it->second;
   }
 
   [[nodiscard]] const std::vector<JobId>& pending_set(int id) const {
     return *pool_[static_cast<std::size_t>(id)];
+  }
+
+  /// One candidate window [x, y] of a state that strands no job.
+  struct Window {
+    double x;
+    double y;
+  };
+
+  /// The live windows of the state whose unsatisfied jobs are `todo_`, in
+  /// (x, y) order. Runs no recursion, so it works in the solver-wide
+  /// buffers; only the (short) result lives on in the caller's frame.
+  std::vector<Window> live_windows(double t) {
+    std::vector<Window> windows;
+    // The next window is the earliest remaining, so it must start no later
+    // than every unsatisfied job's latest start.
+    double limit = std::numeric_limits<double>::infinity();
+    for (JobId j : todo_) {
+      limit = std::min(limit, k_[static_cast<std::size_t>(j)]);
+    }
+    // A window [x, y] is dead when it leaves behind a job it can no longer
+    // serve: one released before y whose latest start is also before y
+    // (expiry max(r_j, k_j) < y; d - p can round below r) but whose
+    // obligation is past y. With the jobs in expiry order, one pointer over
+    // the ascending ends keeps the running maximum of the expired jobs'
+    // obligations, and y is dead iff that maximum is past y.
+    by_expiry_.assign(todo_.begin(), todo_.end());
+    std::sort(by_expiry_.begin(), by_expiry_.end(), [this](JobId a, JobId b) {
+      return expiry_[static_cast<std::size_t>(a)] <
+             expiry_[static_cast<std::size_t>(b)];
+    });
+    for (auto anchor = std::lower_bound(anchors_.begin(), anchors_.end(), t);
+         anchor != anchors_.end() && *anchor <= limit + 1e-12; ++anchor) {
+      // Polled per anchor, not per memo state: a large instance can spend
+      // seconds in a few dozen states.
+      if (options_.context != nullptr && options_.context->should_stop()) {
+        exploded_ = true;
+        timed_out_ = true;
+        return {};
+      }
+      const double x = *anchor;
+      // Candidate ends: obligations of the unsatisfied jobs.
+      ends_.clear();
+      for (JobId j : todo_) ends_.push_back(obligation(j, x));
+      std::sort(ends_.begin(), ends_.end());
+      ends_.erase(std::unique(ends_.begin(), ends_.end()), ends_.end());
+      std::size_t expired = 0;
+      double stranded = -std::numeric_limits<double>::infinity();
+      for (double y : ends_) {
+        for (; expired < by_expiry_.size() &&
+               expiry_[static_cast<std::size_t>(by_expiry_[expired])] < y;
+             ++expired) {
+          stranded = std::max(stranded, obligation(by_expiry_[expired], x));
+        }
+        // A dead window is skipped: a longer one may save the straggler.
+        if (stranded <= y + 1e-12) windows.push_back({x, y});
+      }
+    }
+    return windows;
   }
 
   double solve(double t, int pending_id) {
@@ -194,60 +254,45 @@ class UnboundedSolver {
       exploded_ = true;
       return std::numeric_limits<double>::infinity();
     }
-    if ((++polls_ & 1023) == 0 && options_.context != nullptr &&
-        options_.context->should_stop()) {
-      exploded_ = true;
-      timed_out_ = true;
-      return std::numeric_limits<double>::infinity();
-    }
 
-    const std::vector<JobId> todo = unsatisfied_at(t, pending_set(pending_id));
+    const std::vector<JobId>& pending = pending_set(pending_id);
+    unsatisfied_at(t, pending, todo_);
     StateValue value;
-    if (todo.empty()) {
+    if (todo_.empty()) {
       value.cost = 0.0;
       value.terminal = true;
       memo_.emplace(std::move(key), value);
       return 0.0;
     }
+    const std::vector<Window> windows = live_windows(t);
+    if (exploded_) return std::numeric_limits<double>::infinity();
 
-    // The next window is the earliest remaining, so it must start no later
-    // than every unsatisfied job's latest start.
-    double limit = std::numeric_limits<double>::infinity();
-    for (JobId j : todo) {
-      limit = std::min(limit, k_[static_cast<std::size_t>(j)]);
-    }
-
-    for (double x : anchors_) {
-      if (x < t || x > limit + 1e-12) continue;
-      // Candidate ends: obligations of the unsatisfied jobs.
-      std::vector<double> ends;
-      ends.reserve(todo.size());
-      for (JobId j : todo) ends.push_back(obligation(j, x));
-      std::sort(ends.begin(), ends.end());
-      ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
-      for (double y : ends) {
-        // Jobs satisfied by window [x, y]; the rest roll forward.
-        std::vector<JobId> next_pending;
-        next_pending.reserve(todo.size());
-        bool dead = false;
-        for (JobId j : todo) {
-          if (obligation(j, x) <= y + 1e-12) continue;  // satisfied
-          if (r_[static_cast<std::size_t>(j)] >= y) continue;  // future
-          if (k_[static_cast<std::size_t>(j)] < y) {
-            dead = true;  // straggler expired; a longer window may save it
-            break;
-          }
-          next_pending.push_back(j);
-        }
-        if (dead) continue;
-        const double sub = solve(y, intern(std::move(next_pending)));
-        if (exploded_) return std::numeric_limits<double>::infinity();
-        const double total = (y - x) + sub;
-        if (total < value.cost - 1e-12) {
-          value.cost = total;
-          value.chosen_x = x;
-          value.chosen_y = y;
-        }
+    // The recursion below reuses todo_, so each window walks the
+    // unsatisfied jobs from their sources: the interned pending set (its
+    // node never moves) and the released-from-t suffix, which is in release
+    // order and can stop at the first job released at or after y.
+    const auto released = released_from(t);
+    for (const Window& w : windows) {
+      // Jobs satisfied by window [x, y]; the rest roll forward.
+      next_pending_.clear();
+      const auto roll_forward = [&](JobId j) {
+        if (obligation(j, w.x) <= w.y + 1e-12) return;  // satisfied
+        next_pending_.push_back(j);
+      };
+      for (JobId j : pending) roll_forward(j);
+      for (auto it = released;
+           it != by_release_.end() &&
+           r_[static_cast<std::size_t>(*it)] < w.y;  // later ones: future
+           ++it) {
+        roll_forward(*it);
+      }
+      const double sub = solve(w.y, intern(next_pending_));
+      if (exploded_) return std::numeric_limits<double>::infinity();
+      const double total = (w.y - w.x) + sub;
+      if (total < value.cost - 1e-12) {
+        value.cost = total;
+        value.chosen_x = w.x;
+        value.chosen_y = w.y;
       }
     }
     ABT_ASSERT(value.cost < std::numeric_limits<double>::infinity(),
@@ -265,9 +310,9 @@ class UnboundedSolver {
       if (value.terminal) return;
       const double x = value.chosen_x;
       const double y = value.chosen_y;
-      const std::vector<JobId> todo = unsatisfied_at(t, pending_set(pending_id));
+      unsatisfied_at(t, pending_set(pending_id), todo_);
       std::vector<JobId> next_pending;
-      for (JobId j : todo) {
+      for (JobId j : todo_) {
         if (obligation(j, x) <= y + 1e-12) {
           starts[static_cast<std::size_t>(j)] =
               std::max(r_[static_cast<std::size_t>(j)], x);
@@ -276,7 +321,7 @@ class UnboundedSolver {
         }
       }
       t = y;
-      pending_id = intern(std::move(next_pending));
+      pending_id = intern(next_pending);
     }
   }
 
@@ -285,6 +330,7 @@ class UnboundedSolver {
   std::vector<double> r_;
   std::vector<double> p_;
   std::vector<double> k_;
+  std::vector<double> expiry_;  ///< max(r_j, k_j); later ends must serve j.
   std::vector<double> anchors_;
   std::vector<JobId> by_release_;        ///< Ids in (release, id) order.
   std::vector<double> release_sorted_;   ///< r_ values along by_release_.
@@ -293,7 +339,11 @@ class UnboundedSolver {
   /// across rehash because unordered_map nodes never move).
   std::unordered_map<std::vector<JobId>, int, PendingVecHash> interner_;
   std::vector<const std::vector<JobId>*> pool_;
-  long polls_ = 0;
+  /// Scratch shared by every state: nothing in them outlives a recursion.
+  std::vector<JobId> todo_;
+  std::vector<JobId> by_expiry_;
+  std::vector<double> ends_;
+  std::vector<JobId> next_pending_;
   bool exploded_ = false;
   bool timed_out_ = false;
 };

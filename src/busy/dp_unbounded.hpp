@@ -29,7 +29,8 @@ struct UnboundedOptions {
   /// push-left upper bound (every job at its release) with exact = false.
   /// The paper's workloads stay far below this.
   long state_limit = 2'000'000;
-  /// Deadline / cancellation polled on the state counter (nullptr = free
+  /// Deadline / cancellation polled once per candidate window start of
+  /// every state, so a stop lands within one anchor's work (nullptr = free
   /// run). A stop takes the same push-left fallback as the state limit,
   /// with `timed_out = true` so callers can tell the two apart.
   const core::RunContext* context = nullptr;

@@ -9,6 +9,10 @@
 #include "engine/parallel.hpp"
 #include "report/table.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace abt::engine {
 
 using core::ProblemInstance;
@@ -354,6 +358,18 @@ CampaignReport run_campaign_races(
   return report;
 }
 
+/// Hands the memory the campaign's cells freed back to the system. glibc
+/// keeps freed chunks in each worker thread's malloc arena, and how many of
+/// them stay resident depends on allocation order, so a process running
+/// campaign after campaign grows with their number: 36 -> 47 MiB from 50 to
+/// 300 campaigns of five n = 2048 scenarios at 4 threads. Trimming costs
+/// about 2.5 ms per such campaign. No-op on other C libraries.
+void release_freed_memory() {
+#if defined(__GLIBC__)
+  (void)malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 std::optional<CampaignReport> run_campaign(
@@ -404,6 +420,7 @@ std::optional<CampaignReport> run_campaign(
   if (options.race.enabled) {
     report = run_campaign_races(registry, grid, std::move(report), options,
                                 base_ctx, specs, std::move(instances));
+    release_freed_memory();
     report.wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
@@ -474,6 +491,7 @@ std::optional<CampaignReport> run_campaign(
     point.aggregates = aggregate_cells(trial_reports);
     report.points.push_back(std::move(point));
   }
+  release_freed_memory();
 
   report.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)

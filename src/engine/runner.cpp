@@ -414,6 +414,8 @@ void write_json(std::ostream& os, const RunReport& report) {
         os << ", \"best_bound\": " << sol.best_bound;
         os << ", \"gap\": " << sol.gap();
       }
+    } else if (sol.timed_out) {
+      os << ", \"timed_out\": true";  // stopped before it had an answer
     }
     if (sol.budget_ms > 0.0) os << ", \"budget_ms\": " << sol.budget_ms;
     os << ", \"wall_ms\": " << sol.wall_ms;

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
+#include <string>
+#include <thread>
+
+#include "busy/naive_baselines.hpp"
 #include "core/rng.hpp"
+#include "core/run_context.hpp"
+#include "engine/adapters.hpp"
+#include "engine/builtin_solvers.hpp"
+#include "engine/runner.hpp"
 #include "gen/gadgets.hpp"
 #include "gen/random_instances.hpp"
 #include "test_util.hpp"
@@ -24,6 +34,44 @@ void expect_valid_solution(const ContinuousInstance& inst,
     runs.push_back({s, s + job.length});
   }
   EXPECT_NEAR(core::span_of(runs), sol.busy_time, 1e-9);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The running-maximum DP against the frozen full-scan one: same starts
+/// and busy time to the bit, same memo and interner sizes, same verdict.
+void expect_matches_frozen(const ContinuousInstance& inst,
+                           const UnboundedOptions& options = {}) {
+  const UnboundedSolution fast = solve_unbounded(inst, options);
+  const UnboundedSolution frozen = naive::solve_unbounded(inst, options);
+  ASSERT_EQ(fast.starts.size(), frozen.starts.size());
+  for (std::size_t j = 0; j < fast.starts.size(); ++j) {
+    ASSERT_TRUE(same_bits(fast.starts[j], frozen.starts[j]))
+        << "job " << j << ": " << fast.starts[j] << " vs " << frozen.starts[j];
+  }
+  EXPECT_TRUE(same_bits(fast.busy_time, frozen.busy_time))
+      << fast.busy_time << " vs " << frozen.busy_time;
+  EXPECT_EQ(fast.nodes, frozen.nodes);
+  EXPECT_EQ(fast.interned, frozen.interned);
+  EXPECT_EQ(fast.exact, frozen.exact);
+  EXPECT_EQ(fast.timed_out, frozen.timed_out);
+}
+
+ContinuousInstance scenario_instance(const std::string& name, int n, int g,
+                                     std::uint64_t seed) {
+  engine::ScenarioSpec spec;
+  spec.name = name;
+  spec.n = n;
+  spec.g = g;
+  spec.seed = seed;
+  const auto inst = engine::make_scenario(spec);
+  EXPECT_TRUE(inst.has_value()) << name;
+  if (name == "weighted-flexible") {
+    return engine::weighted_of(*inst).unweighted();
+  }
+  return inst->continuous;
 }
 
 TEST(DpUnbounded, EmptyInstance) {
@@ -84,6 +132,7 @@ TEST(DpUnbounded, IntervalJobsGiveExactlyTheSpan) {
   const ContinuousInstance inst = gen::random_continuous(rng, params);
   const auto sol = solve_unbounded(inst);
   EXPECT_NEAR(sol.busy_time, core::span_of(inst.forced_intervals()), 1e-9);
+  expect_matches_frozen(inst);
 }
 
 TEST(DpUnbounded, Fig9FreezeIsSpanOptimal) {
@@ -126,6 +175,7 @@ TEST(DpUnbounded, ManyIdenticalStragglersStayTractable) {
   // Straggers tuck inside the 2-wide anchors: cost = 3 anchors only.
   EXPECT_NEAR(sol.busy_time, 6.0, 1e-9);
   EXPECT_LT(sol.nodes, 2000) << "identical jobs must collapse in the state";
+  expect_matches_frozen(inst);
 }
 
 TEST(DpUnbounded, StateLimitFallsBackToValidUpperBound) {
@@ -146,6 +196,7 @@ TEST(DpUnbounded, StateLimitFallsBackToValidUpperBound) {
   ASSERT_TRUE(exact.exact);
   EXPECT_GE(sol.busy_time, exact.busy_time - 1e-9)
       << "fallback is an upper bound";
+  expect_matches_frozen(inst, options);
 }
 
 /// Property: exact against full enumeration of integral starts.
@@ -173,6 +224,98 @@ TEST_P(DpVsBrute, MatchesBruteForceOnIntegerInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpVsBrute, ::testing::Range(1, 17));
+
+class DpMatchesFrozen : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DpMatchesFrozen, GeneratedInstances) {
+  for (const int n : {12, 48, 512}) {
+    for (const int g : {2, 4}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE(std::string(GetParam()) + " n=" + std::to_string(n) +
+                     " g=" + std::to_string(g) +
+                     " seed=" + std::to_string(seed));
+        expect_matches_frozen(scenario_instance(GetParam(), n, g, seed));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, DpMatchesFrozen,
+                         ::testing::Values("flexible", "bursty",
+                                           "weighted-flexible"));
+
+TEST(DpMatchesFrozen, LatestStartRoundingBelowRelease) {
+  // 0.3 - 0.2 rounds to just under 0.1: the job's latest start precedes
+  // its release, so its expiry has to be the release, not d - p. The
+  // window [0, 0.1] ends between the two and must stay live.
+  const ContinuousInstance inst({{0.1, 0.3, 0.2},
+                                 {0.0, 0.4, 0.1},
+                                 {0.0, 1.0, 0.5},
+                                 {0.05, 0.6, 0.25},
+                                 {0.3, 0.9, 0.2}},
+                                2);
+  ASSERT_LT(inst.job(0).latest_start(), inst.job(0).release);
+  expect_matches_frozen(inst);
+}
+
+TEST(DpMatchesFrozen, TouchingWindows) {
+  // Rigid runs that touch end to start, with flexible jobs whose
+  // obligations land exactly on the shared endpoints.
+  const ContinuousInstance inst({{0, 1, 1},
+                                 {1, 2, 1},
+                                 {2, 3, 1},
+                                 {0, 3, 1},
+                                 {0.5, 2.5, 1},
+                                 {1, 3, 2},
+                                 {0, 2, 2}},
+                                3);
+  expect_matches_frozen(inst);
+}
+
+/// A context whose 1 ms budget has already run out.
+core::RunContext expired_context() {
+  core::RunContext ctx = core::RunContext::with_budget_ms(1.0);
+  while (!ctx.out_of_budget()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return ctx;
+}
+
+TEST(DpUnbounded, ExpiredContextStopsTheDp) {
+  // 46 memo states in all: a poll on the state counter alone never fires.
+  const ContinuousInstance inst = scenario_instance("flexible", 2048, 4, 7);
+  const core::RunContext ctx = expired_context();
+  UnboundedOptions options;
+  options.context = &ctx;
+  const UnboundedSolution sol = solve_unbounded(inst, options);
+  EXPECT_TRUE(sol.timed_out);
+  EXPECT_FALSE(sol.exact);
+  EXPECT_EQ(sol.nodes, 0) << "stops at the first anchor of the first state";
+  expect_valid_solution(inst, sol);
+}
+
+TEST(DpUnbounded, LiveContextChangesNothing) {
+  const ContinuousInstance inst = scenario_instance("flexible", 512, 4, 7);
+  const core::RunContext ctx = core::RunContext::with_budget_ms(60'000.0);
+  UnboundedOptions options;
+  options.context = &ctx;
+  const UnboundedSolution budgeted = solve_unbounded(inst, options);
+  const UnboundedSolution free_run = solve_unbounded(inst);
+  ASSERT_TRUE(budgeted.exact);
+  EXPECT_FALSE(budgeted.timed_out);
+  EXPECT_EQ(budgeted.starts, free_run.starts);
+  EXPECT_EQ(budgeted.nodes, free_run.nodes);
+}
+
+TEST(DpUnbounded, RegistryDeclinesOnAnExpiredBudget) {
+  const core::Solution sol = engine::shared_registry().run(
+      "busy/dp-unbounded",
+      core::make_instance(scenario_instance("flexible", 2048, 4, 7)),
+      expired_context());
+  EXPECT_FALSE(sol.ok);
+  EXPECT_TRUE(sol.timed_out);
+  EXPECT_EQ(sol.message, "budget expired before the g=inf DP finished");
+}
 
 }  // namespace
 }  // namespace abt::busy
