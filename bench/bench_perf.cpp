@@ -19,6 +19,7 @@
 #include "active/lp_model.hpp"
 #include "active/lp_rounding.hpp"
 #include "active/minimal_feasible.hpp"
+#include "active/naive_baselines.hpp"
 #include "busy/demand_profile.hpp"
 #include "busy/dp_unbounded.hpp"
 #include "busy/first_fit.hpp"
@@ -76,13 +77,61 @@ void BM_FlowFeasibility(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowFeasibility)->Range(8, 256)->Complexity();
 
+// The minimal-feasible closing pass and the feasible slotted generator on
+// the campaign's `slotted` shape (g = 4, horizon max(12, 2n), seed 7): one
+// warm-started FeasibilityNetwork per solve / per generated instance,
+// against the frozen rebuild-per-probe code (a fresh max-flow per closing
+// or admission probe).
+gen::SlottedParams campaign_slotted_params(int n) {
+  gen::SlottedParams params;
+  params.num_jobs = n;
+  params.capacity = 4;
+  params.horizon = std::max<core::SlotTime>(12, 2 * n);
+  return params;
+}
+
+core::SlottedInstance make_campaign_slotted(int n) {
+  core::Rng rng(7);
+  return gen::random_feasible_slotted(rng, campaign_slotted_params(n));
+}
+
 void BM_MinimalFeasible(benchmark::State& state) {
-  const auto inst = make_slotted(static_cast<int>(state.range(0)), 2);
+  const auto inst = make_campaign_slotted(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(active::solve_minimal_feasible(inst));
   }
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_MinimalFeasible)->Range(8, 64);
+BENCHMARK(BM_MinimalFeasible)->Range(12, 96)->Complexity();
+
+void BM_MinimalFeasibleNaive(benchmark::State& state) {
+  const auto inst = make_campaign_slotted(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(active::naive::solve_minimal_feasible(inst));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_MinimalFeasibleNaive)->Range(12, 96)->Complexity();
+
+void BM_FeasibleSlottedGen(benchmark::State& state) {
+  const auto params = campaign_slotted_params(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    core::Rng rng(7);
+    benchmark::DoNotOptimize(gen::random_feasible_slotted(rng, params));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FeasibleSlottedGen)->Range(12, 96)->Complexity();
+
+void BM_FeasibleSlottedGenNaive(benchmark::State& state) {
+  const auto params = campaign_slotted_params(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    core::Rng rng(7);
+    benchmark::DoNotOptimize(active::naive::random_feasible_slotted(rng, params));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FeasibleSlottedGenNaive)->Range(12, 96)->Complexity();
 
 void BM_ActiveLpSolve(benchmark::State& state) {
   const auto inst = make_slotted(static_cast<int>(state.range(0)), 3);

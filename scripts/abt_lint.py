@@ -19,10 +19,11 @@ Enforces the written-but-previously-unchecked conventions:
   bare-assert           No `assert(` / `abort(` outside core/assert.hpp.
                         ABT_ASSERT aborts with file:line + message in every
                         build type; NDEBUG-stripped asserts are banned.
-  hot-path-containers   The headers PR 6 flattened (busy/first_fit,
-                        busy/preemptive, core/sweep) must not reintroduce
+  hot-path-containers   The flattened hot-path files (busy/first_fit,
+                        busy/preemptive, core/sweep, active/feasibility,
+                        active/multi_window) must not reintroduce
                         #include <map>/<set>; node-based containers belong
-                        only in busy/naive_baselines.hpp.
+                        only in the frozen naive_baselines.hpp headers.
   wall-clock            No date-like wall-clock reads (system_clock,
                         time(), localtime, ...) outside core/run_context.
                         Monotonic steady_clock timing is allowed; calendar
@@ -246,6 +247,10 @@ HOT_PATH_FILES = (
     "src/busy/preemptive.cpp",
     "src/core/sweep.hpp",
     "src/core/sweep.cpp",
+    "src/active/feasibility.hpp",
+    "src/active/feasibility.cpp",
+    "src/active/multi_window.hpp",
+    "src/active/multi_window.cpp",
 )
 NODE_CONTAINER_INCLUDE_RE = re.compile(r"#\s*include\s*<(map|set)>")
 
@@ -264,8 +269,8 @@ def check_hot_path_containers(root: Path) -> List[Finding]:
                     line_of(clean, m.start()),
                     "hot-path-containers",
                     f"<{m.group(1)}> include in a flattened hot-path file; "
-                    "node-based containers live only in "
-                    "busy/naive_baselines.hpp",
+                    "node-based containers live only in the frozen "
+                    "naive_baselines.hpp headers",
                 )
             )
     return findings

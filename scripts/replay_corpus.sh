@@ -4,7 +4,10 @@
 # byte-identically through `abt_solve <file> --emit` — the serializers are
 # a lossless inverse pair for all four instance kinds, so a diff here
 # means instance data was silently dropped. Every file under
-# data/malformed/ must be REJECTED with a parse error.
+# data/malformed/ must be REJECTED with a parse error. A file with a
+# golden report data/expected/<name>.json must also solve, with every
+# applicable solver, to exactly that `--json` report (wall_ms masked):
+# the pinned solver outputs.
 #
 # Usage: scripts/replay_corpus.sh [path/to/abt_solve]
 set -euo pipefail
@@ -35,6 +38,11 @@ solver_for_file() {
   esac
 }
 
+# Wall-clock figures are the only run-to-run variation in a report.
+mask_wall_ms() {
+  sed -E 's/"wall_ms": [-0-9.e+]+/"wall_ms": "masked"/g'
+}
+
 failures=0
 
 for f in data/*.txt; do
@@ -48,6 +56,14 @@ for f in data/*.txt; do
   if ! "$ABT" "$f" --solvers "$solver" > /dev/null; then
     echo "FAIL $f: solve with $solver failed" >&2
     failures=$((failures + 1))
+  fi
+
+  expected="data/expected/$(basename "$f" .txt).json"
+  if [[ -f "$expected" ]]; then
+    if ! "$ABT" "$f" --json | mask_wall_ms | diff -u "$expected" - >&2; then
+      echo "FAIL $f: --json report differs from $expected" >&2
+      failures=$((failures + 1))
+    fi
   fi
 
   if ! "$ABT" "$f" --emit | diff -u "$f" - > /dev/null; then
@@ -72,4 +88,5 @@ if [[ $failures -gt 0 ]]; then
   echo "replay corpus: $failures failure(s)" >&2
   exit 1
 fi
-echo "replay corpus: all golden files round-trip, all malformed files rejected"
+echo "replay corpus: all golden files round-trip and match their expected" \
+  "reports, all malformed files rejected"

@@ -255,6 +255,25 @@ class HotPathContainersTest(unittest.TestCase):
         self.assertEqual(findings[0].rule, "hot-path-containers")
         self.assertEqual(findings[0].line, 1)
 
+    def test_set_include_in_active_feasibility_is_flagged(self):
+        root = make_tree({
+            "src/active/feasibility.cpp": "#include <vector>\n#include <set>\n",
+            "src/active/multi_window.cpp": "#include <map>\n",
+        })
+        findings = abt_lint.check_hot_path_containers(root)
+        self.assertEqual(
+            sorted((f.path, f.line) for f in findings),
+            [("src/active/feasibility.cpp", 2),
+             ("src/active/multi_window.cpp", 1)],
+        )
+
+    def test_active_naive_baselines_keeps_its_maps(self):
+        root = make_tree({
+            "src/active/naive_baselines.hpp": "#include <map>\n",
+            "src/active/feasibility.hpp": "#include <vector>\n",
+        })
+        self.assertEqual(abt_lint.check_hot_path_containers(root), [])
+
     def test_naive_baselines_keeps_its_maps(self):
         root = make_tree({
             "src/busy/naive_baselines.hpp": "#include <map>\n#include <set>\n",

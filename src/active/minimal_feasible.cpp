@@ -62,37 +62,46 @@ std::optional<ActiveSchedule> solve_minimal_feasible(
           ? std::function<bool()>{}
           : [ctx = options.context] { return ctx->cancelled(); };
 
-  std::vector<SlotTime> slots = candidate_slots(inst);
-  switch (feasibility_with_slots(inst, slots, cancel_poll)) {
-    case FeasStatus::kInfeasible:
-      return std::nullopt;
-    case FeasStatus::kCancelled:
-      if (cancelled != nullptr) *cancelled = true;
-      return std::nullopt;
-    case FeasStatus::kFeasible:
-      break;
+  // One warm-started network carries the whole solve: the jobs are added
+  // over every candidate slot (feasibility of the instance), then each
+  // closing probe re-routes only the units of the slot it closes.
+  const std::vector<SlotTime> slots = candidate_slots(inst);
+  FeasibilityNetwork network(static_cast<int>(slots.size()), inst.capacity());
+  // Each probe polls on its own; this one makes a pre-cancelled context
+  // report cancellation even when there is no job to add.
+  if (cancel_poll && cancel_poll()) {
+    if (cancelled != nullptr) *cancelled = true;
+    return std::nullopt;
   }
-
-  const std::vector<std::size_t> order = closing_order(inst, slots, options);
-  std::vector<char> open(slots.size(), 1);
+  std::vector<int> job_slots;
+  for (const core::SlottedJob& job : inst.jobs()) {
+    job_slots.clear();
+    const auto lo = std::upper_bound(slots.begin(), slots.end(), job.release);
+    for (auto it = lo; it != slots.end() && *it <= job.deadline; ++it) {
+      job_slots.push_back(static_cast<int>(it - slots.begin()));
+    }
+    switch (network.try_add_job(job.length, job_slots, cancel_poll)) {
+      case FeasStatus::kInfeasible:
+        return std::nullopt;
+      case FeasStatus::kCancelled:
+        if (cancelled != nullptr) *cancelled = true;
+        return std::nullopt;
+      case FeasStatus::kFeasible:
+        break;
+    }
+  }
 
   // One pass suffices: closing slots only shrinks the feasible set, so a
   // slot that could not be closed earlier can never be closed later.
-  for (std::size_t idx : order) {
-    open[idx] = 0;
-    std::vector<SlotTime> trial;
-    trial.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (open[i] != 0) trial.push_back(slots[i]);
-    }
-    const FeasStatus status = feasibility_with_slots(inst, trial, cancel_poll);
-    if (status != FeasStatus::kFeasible) open[idx] = 1;
+  for (const std::size_t idx : closing_order(inst, slots, options)) {
+    const FeasStatus status =
+        network.try_close(static_cast<int>(idx), cancel_poll);
     if (status == FeasStatus::kCancelled) break;  // keep the feasible set
   }
 
   std::vector<SlotTime> final_slots;
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (open[i] != 0) final_slots.push_back(slots[i]);
+    if (network.is_open(static_cast<int>(i))) final_slots.push_back(slots[i]);
   }
   // The final extraction must complete to return anything at all — it is
   // one flow on an already-feasible set, so it is not worth interrupting.

@@ -1,7 +1,6 @@
 #include "active/multi_window.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "core/assert.hpp"
 #include "flow/dinic.hpp"
@@ -79,11 +78,6 @@ flow::Dinic::Cap mw_flow_deficit(
   const int sink = 1 + num_jobs + num_slots;
   flow::Dinic dinic(sink + 1);
 
-  std::map<SlotTime, int> slot_node;
-  for (int s = 0; s < num_slots; ++s) {
-    slot_node[slots[static_cast<std::size_t>(s)]] = 1 + num_jobs + s;
-  }
-
   struct JobSlotEdge {
     JobId job;
     SlotTime slot;
@@ -99,7 +93,9 @@ flow::Dinic::Cap mw_flow_deficit(
     for (const auto& [r, d] : job.windows) {
       const auto lo = std::lower_bound(slots.begin(), slots.end(), r + 1);
       for (auto it = lo; it != slots.end() && *it <= d; ++it) {
-        const auto edge = dinic.add_edge(1 + j, slot_node.at(*it), 1);
+        const int slot_node =
+            1 + num_jobs + static_cast<int>(it - slots.begin());
+        const auto edge = dinic.add_edge(1 + j, slot_node, 1);
         if (assignment_out != nullptr) edges.push_back({j, *it, edge});
       }
     }
@@ -166,7 +162,14 @@ bool mw_check_schedule(const MultiWindowInstance& inst,
   if (static_cast<int>(sched.job_slots.size()) != inst.size()) {
     return fail("job_slots size mismatch");
   }
-  std::map<SlotTime, int> load;
+  // Per-slot unit counts over [first, horizon]: every counted slot lies in
+  // some job window (first is 1 unless a window starts below 0).
+  SlotTime first = 1;
+  for (const MultiWindowJob& job : inst.jobs()) {
+    for (const auto& [r, d] : job.windows) first = std::min(first, r + 1);
+  }
+  std::vector<int> load(static_cast<std::size_t>(inst.horizon() - first) + 1,
+                        0);
   for (JobId j = 0; j < inst.size(); ++j) {
     const MultiWindowJob& job = inst.job(j);
     const auto& slots = sched.job_slots[static_cast<std::size_t>(j)];
@@ -185,11 +188,11 @@ bool mw_check_schedule(const MultiWindowInstance& inst,
                               sched.active_slots.end(), t)) {
         return fail("inactive slot used");
       }
-      ++load[t];
+      ++load[static_cast<std::size_t>(t - first)];
     }
   }
-  for (const auto& [t, count] : load) {
-    if (count > inst.capacity()) {
+  for (SlotTime t = first; t <= inst.horizon(); ++t) {
+    if (load[static_cast<std::size_t>(t - first)] > inst.capacity()) {
       return fail("slot " + std::to_string(t) + " over capacity");
     }
   }
@@ -198,18 +201,31 @@ bool mw_check_schedule(const MultiWindowInstance& inst,
 
 std::optional<ActiveSchedule> mw_solve_minimal_feasible(
     const MultiWindowInstance& inst) {
-  std::vector<SlotTime> slots = mw_candidate_slots(inst);
-  if (!mw_is_feasible_with_slots(inst, slots)) return std::nullopt;
-  for (std::size_t i = 0; i < slots.size();) {
-    std::vector<SlotTime> trial = slots;
-    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-    if (mw_is_feasible_with_slots(inst, trial)) {
-      slots = std::move(trial);
-    } else {
-      ++i;
+  // One warm-started network over the candidate slots: adding every job
+  // decides feasibility, then each left-to-right closing probe re-routes
+  // only the units of the slot it closes.
+  const std::vector<SlotTime> slots = mw_candidate_slots(inst);
+  FeasibilityNetwork network(static_cast<int>(slots.size()), inst.capacity());
+  std::vector<int> job_slots;
+  for (const MultiWindowJob& job : inst.jobs()) {
+    job_slots.clear();
+    for (const auto& [r, d] : job.windows) {
+      const auto lo = std::lower_bound(slots.begin(), slots.end(), r + 1);
+      for (auto it = lo; it != slots.end() && *it <= d; ++it) {
+        job_slots.push_back(static_cast<int>(it - slots.begin()));
+      }
+    }
+    if (network.try_add_job(job.length, job_slots) != FeasStatus::kFeasible) {
+      return std::nullopt;
     }
   }
-  return mw_extract_assignment(inst, std::move(slots));
+  std::vector<SlotTime> open;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (network.try_close(static_cast<int>(i)) != FeasStatus::kFeasible) {
+      open.push_back(slots[i]);
+    }
+  }
+  return mw_extract_assignment(inst, std::move(open));
 }
 
 namespace {

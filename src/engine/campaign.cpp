@@ -388,9 +388,12 @@ std::optional<CampaignReport> run_campaign(
     return std::nullopt;
   }
 
-  // Generate every point's trial instances and solver plans up front
-  // (sequential and cheap), so a bad grid fails before any cell runs and
-  // the cell fan-out below is pure solver work.
+  // Generate every point's trial instances and solver plans up front,
+  // sequentially, so a bad grid fails before any cell runs and the cell
+  // fan-out below is pure solver work. Not free: one campaign-exact
+  // campaign (6144 cells, 4-CPU host) spends ~17 ms here, most of it in
+  // the feasibility tests that admit slotted jobs, against ~320 ms for the
+  // whole campaign.
   const std::size_t points = specs.size();
   std::vector<std::vector<ProblemInstance>> instances(points);
   std::vector<std::vector<std::vector<const core::Solver*>>> plans(points);

@@ -45,7 +45,13 @@ SlottedInstance random_feasible_slotted(Rng& rng,
   // Add jobs one at a time; drop any job that makes the prefix infeasible.
   // When the machine's total capacity g * horizon is nearly exhausted no
   // further job may fit, so the loop also stops after a fixed attempt
-  // budget and returns the (feasible) prefix built so far.
+  // budget and returns the (feasible) prefix built so far. The prefix is
+  // held as one warm-started flow over slots 1..horizon (index t - 1), so
+  // each admission test routes only the new job's units.
+  abt::active::FeasibilityNetwork network(
+      static_cast<int>(std::max<SlotTime>(0, params.horizon)),
+      params.capacity);
+  std::vector<int> job_slots;
   int attempts = 0;
   const int attempt_budget = 60 * params.num_jobs + 200;
   while (static_cast<int>(jobs.size()) < params.num_jobs &&
@@ -54,9 +60,14 @@ SlottedInstance random_feasible_slotted(Rng& rng,
     if (++attempts > 40 * params.num_jobs) {
       job = {0, params.horizon, 1};  // low-impact filler
     }
-    jobs.push_back(job);
-    const SlottedInstance trial(jobs, params.capacity);
-    if (!abt::active::is_feasible(trial)) jobs.pop_back();
+    job_slots.clear();
+    for (SlotTime t = job.release + 1; t <= job.deadline; ++t) {
+      job_slots.push_back(static_cast<int>(t - 1));
+    }
+    if (network.try_add_job(job.length, job_slots) ==
+        abt::active::FeasStatus::kFeasible) {
+      jobs.push_back(job);
+    }
   }
   return SlottedInstance(std::move(jobs), params.capacity);
 }

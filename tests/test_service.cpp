@@ -470,10 +470,21 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
   EXPECT_NE(roundtrip(miss).final.payload.find("\"cancelled\": false"),
             std::string::npos);
 
+  // in_flight counts the victim's connection from its accept, which can
+  // come before the daemon registers the id "doomed": a cancel sent in
+  // that gap finds nothing. Re-send it until it lands, within a bound.
   Frame cancel;
   cancel.type = FrameType::kCancel;
   cancel.payload = "id doomed\n";
-  const service::Exchange reply = roundtrip(cancel);
+  service::Exchange reply = roundtrip(cancel);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reply.final.payload.find("\"cancelled\": true") ==
+             std::string::npos &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    reply = roundtrip(cancel);
+  }
   EXPECT_NE(reply.final.payload.find("\"cancelled\": true"),
             std::string::npos)
       << reply.final.payload;
