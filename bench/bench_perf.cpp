@@ -877,6 +877,49 @@ void BM_CacheHitLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitLatency)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
+// --- abtd payload parse: the request parse on the svc-mixed shapes ---
+
+/// A solve payload shaped like an svc-mixed request class (g 4, seed 7):
+/// 0 = interval n 40, 1 = flexible n 24, 2 = weighted n 24 with the
+/// exact / narrow-wide pair under a 20 ms budget.
+std::string svc_mixed_payload(int shape) {
+  engine::ScenarioSpec spec;
+  spec.name = shape == 0 ? "interval" : shape == 1 ? "flexible" : "weighted";
+  spec.n = shape == 0 ? 40 : 24;
+  spec.g = 4;
+  spec.seed = 7;
+  service::SolveRequest request;
+  request.instance = *engine::make_scenario(spec);
+  if (shape == 2) {
+    request.solvers = {"busy/weighted-exact", "busy/weighted-narrow-wide"};
+    request.budget_ms = 20.0;
+  }
+  std::ostringstream payload;
+  std::string error;
+  if (!service::write_solve_payload(payload, request, &error)) return {};
+  return payload.str();
+}
+
+void BM_PayloadParse(benchmark::State& state) {
+  // parse_solve_payload end to end, as the daemon runs it per request:
+  // request directives, the in-place instance parse and the canonical
+  // re-serialization the cache key is built from.
+  const std::string payload =
+      svc_mixed_payload(static_cast<int>(state.range(0)));
+  std::string error;
+  for (auto _ : state) {
+    service::SolveRequest request;
+    if (!service::parse_solve_payload(payload, &request, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(request);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_PayloadParse)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

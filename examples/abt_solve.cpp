@@ -32,7 +32,6 @@
 // Exit code: 0 on success, 1 on bad usage/unreadable input, 2 when any
 // solver produced an infeasible schedule (checker verdict).
 // Full reference: docs/CLI.md.
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "core/io.hpp"
+#include "core/lines.hpp"
 #include "core/solver.hpp"
 #include "engine/builtin_solvers.hpp"
 #include "engine/campaign.hpp"
@@ -112,16 +112,6 @@ struct CliOptions {
   bool gantt = false;
 };
 
-/// Strict full-string numeric parse: trailing garbage ("40x2") is an error,
-/// not a silently truncated value.
-template <typename T>
-bool parse_full(const std::string& text, T& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end && !text.empty();
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   std::stringstream stream(text);
@@ -141,8 +131,20 @@ bool parse_args(int argc, char** argv, CliOptions& options,
     }
     return true;
   };
+  const auto any = [](auto) { return true; };
+  const auto non_negative = [](auto v) { return v >= 0; };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Reads a numeric flag's value into `out`; false (with `error`) when
+    // it is missing, malformed or not `valid`.
+    const auto number = [&](auto& out, auto valid) {
+      if (!need_value(i, arg)) return false;
+      const std::string value = argv[++i];
+      if (core::parse_number(value, out) && valid(out)) return true;
+      error = "bad value for " + arg + ": '" + value + "'";
+      return false;
+    };
+    bool ok = true;
     if (arg == "--list") {
       options.list = true;
     } else if (arg == "--scenarios") {
@@ -179,12 +181,7 @@ bool parse_args(int argc, char** argv, CliOptions& options,
       if (!need_value(i, arg)) return false;
       options.request_id = argv[++i];
     } else if (arg == "--progress") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!parse_full(value, options.progress) || options.progress < 0) {
-        error = "bad value for --progress: '" + value + "'";
-        return false;
-      }
+      ok = number(options.progress, non_negative);
     } else if (arg == "--selector") {
       if (!need_value(i, arg)) return false;
       options.selector = argv[++i];
@@ -192,46 +189,27 @@ bool parse_args(int argc, char** argv, CliOptions& options,
       if (!need_value(i, arg)) return false;
       options.train_selector = argv[++i];
     } else if (arg == "--accept-gap") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!parse_full(value, options.accept_gap) ||
-          options.accept_gap < 0.0) {
-        error = "bad value for --accept-gap: '" + value + "'";
-        return false;
-      }
-    } else if (arg == "--n" || arg == "--g" || arg == "--seed" ||
-               arg == "--slack" || arg == "--horizon" || arg == "--eps" ||
-               arg == "--trials" || arg == "--threads" ||
-               arg == "--budget-ms") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      bool parsed = false;
-      if (arg == "--n") {
-        parsed = parse_full(value, options.spec.n);
-      } else if (arg == "--g") {
-        parsed = parse_full(value, options.spec.g);
-      } else if (arg == "--seed") {
-        parsed = parse_full(value, options.spec.seed);
-      } else if (arg == "--slack") {
-        parsed = parse_full(value, options.spec.slack);
-      } else if (arg == "--horizon") {
-        parsed = parse_full(value, options.spec.horizon);
-      } else if (arg == "--trials") {
-        parsed = parse_full(value, options.trials) && options.trials >= 1;
-        options.trials_given = parsed;
-      } else if (arg == "--threads") {
-        parsed = parse_full(value, options.threads) && options.threads >= 0;
-        options.threads_given = parsed;
-      } else if (arg == "--budget-ms") {
-        parsed = parse_full(value, options.budget_ms) &&
-                 options.budget_ms > 0.0;
-      } else {
-        parsed = parse_full(value, options.spec.eps);
-      }
-      if (!parsed) {
-        error = "bad value for " + arg + ": '" + value + "'";
-        return false;
-      }
+      ok = number(options.accept_gap, non_negative);
+    } else if (arg == "--n") {
+      ok = number(options.spec.n, any);
+    } else if (arg == "--g") {
+      ok = number(options.spec.g, any);
+    } else if (arg == "--seed") {
+      ok = number(options.spec.seed, any);
+    } else if (arg == "--slack") {
+      ok = number(options.spec.slack, any);
+    } else if (arg == "--horizon") {
+      ok = number(options.spec.horizon, any);
+    } else if (arg == "--eps") {
+      ok = number(options.spec.eps, any);
+    } else if (arg == "--trials") {
+      ok = number(options.trials, [](int v) { return v >= 1; });
+      options.trials_given = ok;
+    } else if (arg == "--threads") {
+      ok = number(options.threads, non_negative);
+      options.threads_given = ok;
+    } else if (arg == "--budget-ms") {
+      ok = number(options.budget_ms, [](double v) { return v > 0.0; });
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       error = "unknown flag '" + arg + "'";
       return false;
@@ -241,6 +219,7 @@ bool parse_args(int argc, char** argv, CliOptions& options,
       error = "multiple input files";
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -653,7 +632,7 @@ int main(int argc, char** argv) {
     }
     std::cout << final.payload;
     int exit_code = 0;
-    if (!parse_full(final.flag("exit", "0"), exit_code)) exit_code = 0;
+    if (!core::parse_number(final.flag("exit", "0"), exit_code)) exit_code = 0;
     return exit_code;
   }
 

@@ -28,6 +28,12 @@ Enforces the written-but-previously-unchecked conventions:
                         time(), localtime, ...) outside core/run_context.
                         Monotonic steady_clock timing is allowed; calendar
                         time would make runs non-reproducible.
+  one-lexer             No istringstream, strto*() or hand-built
+                        `"line " + std::to_string` diagnostics in src/ or
+                        examples/ outside core/lines: every line format
+                        reads through the one lexer (LineCursor, Tokens,
+                        parse_number, line_error), whose number grammar
+                        rejects truncation that those silently allow.
 
 Usage: abt_lint.py [REPO_ROOT]   (default: the repo containing this script)
 Exits non-zero iff findings were reported.
@@ -54,9 +60,10 @@ class Finding(NamedTuple):
 # ---------------------------------------------------------------- utilities
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments and string/char literals, preserving newlines
-    and column positions so finding offsets map back to the source."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blanks out comments and string/char literals (only comments when
+    keep_strings), preserving newlines and column positions so finding
+    offsets map back to the source."""
     out = list(text)
     i, n = 0, len(text)
     while i < n:
@@ -78,6 +85,12 @@ def strip_comments_and_strings(text: str) -> str:
                 if i + 1 < n:
                     out[i + 1] = " "
                 i += 2
+        elif c in "\"'" and keep_strings:
+            quote = c
+            i += 1
+            while i < n and text[i] != quote:
+                i += 2 if text[i] == "\\" else 1
+            i += 1
         elif c in "\"'":
             quote = c
             i += 1
@@ -303,12 +316,42 @@ def check_wall_clock(root: Path) -> List[Finding]:
     return findings
 
 
+ONE_LEXER_CODE_RE = re.compile(r"\bistringstream\b|\bstrto[dlfu]+\s*\(")
+ONE_LEXER_ERROR_RE = re.compile(r'"line "\s*\+\s*std::to_string')
+ONE_LEXER_EXEMPT = ("src/core/lines.hpp", "src/core/lines.cpp")
+
+
+def check_one_lexer(root: Path) -> List[Finding]:
+    findings: List[Finding] = []
+    for path in cxx_sources(root, ["src", "examples"]):
+        if rel(root, path) in ONE_LEXER_EXEMPT:
+            continue
+        text = path.read_text(encoding="utf-8")
+        code = strip_comments_and_strings(text)
+        with_strings = strip_comments_and_strings(text, keep_strings=True)
+        for clean, regex in ((code, ONE_LEXER_CODE_RE),
+                             (with_strings, ONE_LEXER_ERROR_RE)):
+            for m in regex.finditer(clean):
+                findings.append(
+                    Finding(
+                        rel(root, path),
+                        line_of(clean, m.start()),
+                        "one-lexer",
+                        f"'{m.group(0)}' outside core/lines: read line "
+                        "formats with core::LineCursor/Tokens/parse_number "
+                        "and build diagnostics with core::line_error",
+                    )
+                )
+    return findings
+
+
 RULES = (
     check_atomic_memory_order,
     check_solver_registration,
     check_bare_assert,
     check_hot_path_containers,
     check_wall_clock,
+    check_one_lexer,
 )
 
 

@@ -325,6 +325,41 @@ class WallClockTest(unittest.TestCase):
         self.assertEqual(abt_lint.check_wall_clock(root), [])
 
 
+class OneLexerTest(unittest.TestCase):
+    def test_hand_rolled_readers_are_flagged(self):
+        root = make_tree({
+            "src/service/x.cpp": (
+                "#include <sstream>\n"
+                "int f(const std::string& s) {\n"
+                "  std::istringstream in(s);\n"
+                "  return static_cast<int>(std::strtol(s.c_str(), nullptr, 10));\n"
+                "}\n"
+                "std::string e(int n) { return \"line \" + std::to_string(n); }\n"
+            ),
+            "examples/tool.cpp": "double g(const char* s) { return strtod(s, 0); }\n",
+        })
+        findings = abt_lint.check_one_lexer(root)
+        self.assertEqual(rules_of(findings), ["one-lexer"])
+        self.assertEqual(
+            sorted((f.path, f.line) for f in findings),
+            [("examples/tool.cpp", 1), ("src/service/x.cpp", 3),
+             ("src/service/x.cpp", 4), ("src/service/x.cpp", 6)],
+        )
+
+    def test_lines_module_comments_and_tests_are_exempt(self):
+        root = make_tree({
+            "src/core/lines.cpp": "std::istringstream in; double d = strtod(p, 0);\n",
+            "src/core/io.cpp": (
+                "// istringstream and strtod( are only mentioned here\n"
+                "const char* kHelp = \"parse with strtod( or istringstream\";\n"
+                "std::string e(int n) { return core::line_error(n, \"x\"); }\n"
+            ),
+            "tests/test_io.cpp": "std::istringstream in(\"model slotted\");\n",
+            "bench/b.cpp": "double d = std::strtod(s, nullptr);\n",
+        })
+        self.assertEqual(abt_lint.check_one_lexer(root), [])
+
+
 class DriverTest(unittest.TestCase):
     def test_run_lint_aggregates_and_sorts(self):
         root = make_tree({

@@ -1,6 +1,7 @@
 #include "active/multi_window.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/assert.hpp"
 #include "flow/dinic.hpp"
@@ -16,7 +17,11 @@ MultiWindowInstance::MultiWindowInstance(std::vector<MultiWindowJob> jobs,
     : jobs_(std::move(jobs)), capacity_(capacity) {
   ABT_ASSERT(capacity_ >= 1, "capacity must be positive");
   for (const MultiWindowJob& job : jobs_) {
-    total_work_ += job.length;
+    // Summed modulo 2^64, never with signed overflow: structurally_valid
+    // rejects every instance whose total work does not fit.
+    total_work_ = static_cast<core::SlotTime>(
+        static_cast<std::uint64_t>(total_work_) +
+        static_cast<std::uint64_t>(job.length));
     for (const auto& [r, d] : job.windows) {
       horizon_ = std::max(horizon_, d);
     }
@@ -24,6 +29,7 @@ MultiWindowInstance::MultiWindowInstance(std::vector<MultiWindowJob> jobs,
 }
 
 bool MultiWindowInstance::structurally_valid(std::string* why) const {
+  SlotTime work = 0;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const MultiWindowJob& job = jobs_[i];
     auto fail = [&](const char* reason) {
@@ -39,7 +45,11 @@ bool MultiWindowInstance::structurally_valid(std::string* why) const {
       if (r < prev_end) return fail("windows overlap or unsorted");
       prev_end = d;
     }
+    // Sorted disjoint windows in [0, max]: their slot count cannot overflow.
     if (job.window_slots() < job.length) return fail("windows too small");
+    if (__builtin_add_overflow(work, job.length, &work)) {
+      return fail("total work overflows");
+    }
   }
   return true;
 }

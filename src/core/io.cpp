@@ -1,6 +1,5 @@
 #include "core/io.hpp"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -16,18 +15,11 @@ std::vector<std::pair<std::string, ExtensionParserFactory>>& codecs() {
   return registry;
 }
 
-const ExtensionParserFactory* find_codec(const std::string& name) {
+const ExtensionParserFactory* find_codec(std::string_view name) {
   for (const auto& [key, factory] : codecs()) {
     if (key == name) return &factory;
   }
   return nullptr;
-}
-
-bool fail(std::string* error, int line, const std::string& what) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line) + ": " + what;
-  }
-  return false;
 }
 
 }  // namespace
@@ -52,6 +44,13 @@ std::vector<std::string> registered_instance_models() {
 
 std::optional<ProblemInstance> parse_instance(std::istream& in,
                                               std::string* error) {
+  const std::string text = read_all(in);
+  LineCursor lines(text);
+  return parse_instance(lines, error);
+}
+
+std::optional<ProblemInstance> parse_instance(LineCursor& lines,
+                                              std::string* error) {
   enum class Model { kNone, kSlotted, kContinuous, kExtended };
   Model model = Model::kNone;
   std::unique_ptr<ExtensionParser> extension_parser;
@@ -59,24 +58,24 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
   std::vector<SlottedJob> slotted_jobs;
   std::vector<ContinuousJob> continuous_jobs;
 
-  std::string line;
-  int line_no = 0;
-  auto report = [&](const std::string& what) {
-    fail(error, line_no, what);
+  auto report = [&](std::string_view what) {
+    lines.fail(error, what);
     return std::nullopt;
   };
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank line
+  Tokens ls;
+  const auto read_job = [&ls](auto& jobs) {
+    auto& job = jobs.emplace_back();
+    return ls.number(job.release) && ls.number(job.deadline) &&
+           ls.number(job.length);
+  };
+  while (lines.next(ls)) {
+    std::string_view keyword;
+    ls.next(keyword);
 
     if (keyword == "model") {
       if (model != Model::kNone) return report("duplicate model directive");
-      std::string name;
-      if (!(ls >> name)) return report("model needs a name");
+      std::string_view name;
+      if (!ls.next(name)) return report("model needs a name");
       if (name == "slotted") {
         model = Model::kSlotted;
       } else if (name == "continuous") {
@@ -89,7 +88,8 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
         for (const std::string& key : registered_instance_models()) {
           known += ", " + key;
         }
-        std::string what = "unknown model '" + name + "' (known: " + known;
+        std::string what =
+            "unknown model '" + std::string(name) + "' (known: " + known;
         if (codecs().empty()) {
           // Distinguish a typo from a binary that never linked the codecs
           // (engine/adapters registers them at load time).
@@ -102,7 +102,7 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
       // A repeated capacity silently changing every preceding job's
       // context is exactly the silent-data-change class v2 eliminates.
       if (capacity > 0) return report("duplicate capacity directive");
-      if (!(ls >> capacity) || capacity < 1) {
+      if (!ls.number(capacity) || capacity < 1) {
         return report("capacity needs a positive integer");
       }
     } else if (model == Model::kExtended) {
@@ -113,28 +113,17 @@ std::optional<ProblemInstance> parse_instance(std::istream& in,
       }
     } else if (keyword == "job") {
       if (model == Model::kNone) return report("job before model directive");
-      if (model == Model::kSlotted) {
-        SlotTime r = 0;
-        SlotTime d = 0;
-        SlotTime p = 0;
-        if (!(ls >> r >> d >> p)) {
-          return report("job needs: release deadline length");
-        }
-        slotted_jobs.push_back({r, d, p});
-      } else {
-        RealTime r = 0;
-        RealTime d = 0;
-        RealTime p = 0;
-        if (!(ls >> r >> d >> p)) {
-          return report("job needs: release deadline length");
-        }
-        continuous_jobs.push_back({r, d, p});
-      }
+      const bool read = model == Model::kSlotted ? read_job(slotted_jobs)
+                                                 : read_job(continuous_jobs);
+      if (!read) return report("job needs: release deadline length");
     } else {
-      return report("unknown directive '" + keyword + "'");
+      return report("unknown directive '" + std::string(keyword) + "'");
+    }
+    if (!ls.done()) {
+      return report("trailing tokens after " + std::string(keyword) +
+                    " directive");
     }
   }
-  ++line_no;
   if (model == Model::kNone) return report("missing 'model' directive");
   if (capacity < 1) return report("missing 'capacity' directive");
 

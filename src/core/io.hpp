@@ -5,9 +5,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/continuous_instance.hpp"
+#include "core/lines.hpp"
 #include "core/slotted_instance.hpp"
 #include "core/solver.hpp"
 
@@ -45,9 +47,17 @@ namespace abt::core {
 /// Parses an instance into the uniform carrier the registry trades in:
 /// standard models fill the matching member, extended models carry an
 /// InstanceExtension built by their registered codec. On failure returns
-/// nullopt and explains in `error` (with a line number).
+/// nullopt and explains in `error` (with a line number). Numbers follow
+/// the core/lines grammar (integers stay integers, reals are finite) and
+/// every directive rejects trailing tokens.
 [[nodiscard]] std::optional<ProblemInstance> parse_instance(
     std::istream& in, std::string* error = nullptr);
+
+/// Parses the rest of `lines`, to the end of its text, as an instance;
+/// diagnostics carry the cursor's line numbers (an instance embedded in a
+/// larger text is numbered over that whole text).
+[[nodiscard]] std::optional<ProblemInstance> parse_instance(
+    LineCursor& lines, std::string* error = nullptr);
 
 /// Serializers (lossless inverses of parse_instance).
 void write_instance(std::ostream& out, const SlottedInstance& inst);
@@ -62,16 +72,17 @@ void write_instance(std::ostream& out, const ContinuousInstance& inst);
                                   std::string* why = nullptr);
 
 /// Per-model parser plugged into parse_instance for one extended model.
-/// The shared loop owns line reading, comments, line numbers and the
-/// `model`/`capacity` directives; everything else inside an extended-model
-/// file is forwarded here keyword by keyword.
+/// The shared loop owns line reading, comments, line numbers, trailing-token
+/// rejection and the `model`/`capacity` directives; everything else inside
+/// an extended-model file is forwarded here keyword by keyword.
 class ExtensionParser {
  public:
   virtual ~ExtensionParser() = default;
 
-  /// Consumes one directive (`args` positioned after the keyword). Errors
-  /// are reported through `why` WITHOUT a line prefix; the caller adds it.
-  virtual bool directive(const std::string& keyword, std::istream& args,
+  /// Consumes one directive's arguments from `args` (positioned after the
+  /// keyword). Errors are reported through `why` WITHOUT a line prefix;
+  /// the caller adds it.
+  virtual bool directive(std::string_view keyword, Tokens& args,
                          std::string* why) = 0;
 
   /// Validates the accumulated jobs and produces the finished instance

@@ -1,6 +1,7 @@
 #include "core/slotted_instance.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/assert.hpp"
 
@@ -11,7 +12,11 @@ SlottedInstance::SlottedInstance(std::vector<SlottedJob> jobs, int capacity)
   ABT_ASSERT(capacity_ >= 1, "machine capacity g must be at least 1");
   for (const SlottedJob& j : jobs_) {
     horizon_ = std::max(horizon_, j.deadline);
-    total_work_ += j.length;
+    // Summed modulo 2^64, never with signed overflow: structurally_valid
+    // rejects every instance whose total work does not fit.
+    total_work_ =
+        static_cast<SlotTime>(static_cast<std::uint64_t>(total_work_) +
+                              static_cast<std::uint64_t>(j.length));
   }
 }
 
@@ -20,6 +25,7 @@ SlotTime SlottedInstance::mass_lower_bound() const {
 }
 
 bool SlottedInstance::structurally_valid(std::string* why) const {
+  SlotTime work = 0;
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const SlottedJob& j = jobs_[i];
     auto fail = [&](const char* reason) {
@@ -30,7 +36,13 @@ bool SlottedInstance::structurally_valid(std::string* why) const {
     };
     if (j.release < 0) return fail("negative release time");
     if (j.length < 1) return fail("length must be >= 1");
-    if (!j.window_fits()) return fail("window shorter than length");
+    // deadline >= release first, so the window size cannot overflow.
+    if (j.deadline < j.release || !j.window_fits()) {
+      return fail("window shorter than length");
+    }
+    if (__builtin_add_overflow(work, j.length, &work)) {
+      return fail("total work overflows");
+    }
   }
   return true;
 }

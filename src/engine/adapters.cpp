@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -74,17 +73,15 @@ namespace {
 /// `weight w` for the preceding job (default width 1).
 class WeightedParser final : public core::ExtensionParser {
  public:
-  bool directive(const std::string& keyword, std::istream& args,
+  bool directive(std::string_view keyword, core::Tokens& args,
                  std::string* why) override {
     if (keyword == "job") {
-      core::RealTime r = 0;
-      core::RealTime d = 0;
-      core::RealTime p = 0;
-      if (!(args >> r >> d >> p)) {
+      core::ContinuousJob& job = jobs_.emplace_back().job;
+      if (!args.number(job.release) || !args.number(job.deadline) ||
+          !args.number(job.length)) {
         if (why != nullptr) *why = "job needs: release deadline length";
         return false;
       }
-      jobs_.push_back({{r, d, p}, 1});
       return true;
     }
     if (keyword == "weight") {
@@ -93,7 +90,7 @@ class WeightedParser final : public core::ExtensionParser {
         return false;
       }
       int w = 0;
-      if (!(args >> w) || w < 1) {
+      if (!args.number(w) || w < 1) {
         if (why != nullptr) *why = "weight needs a positive integer";
         return false;
       }
@@ -101,7 +98,8 @@ class WeightedParser final : public core::ExtensionParser {
       return true;
     }
     if (why != nullptr) {
-      *why = "unknown directive '" + keyword + "' in model weighted";
+      *why = "unknown directive '" + std::string(keyword) +
+             "' in model weighted";
     }
     return false;
   }
@@ -122,15 +120,13 @@ class WeightedParser final : public core::ExtensionParser {
 /// `window r d` line per window of that job.
 class MultiWindowParser final : public core::ExtensionParser {
  public:
-  bool directive(const std::string& keyword, std::istream& args,
+  bool directive(std::string_view keyword, core::Tokens& args,
                  std::string* why) override {
     if (keyword == "job") {
-      core::SlotTime p = 0;
-      if (!(args >> p)) {
+      if (!args.number(jobs_.emplace_back().length)) {
         if (why != nullptr) *why = "job needs: length";
         return false;
       }
-      jobs_.push_back({{}, p});
       return true;
     }
     if (keyword == "window") {
@@ -138,17 +134,16 @@ class MultiWindowParser final : public core::ExtensionParser {
         if (why != nullptr) *why = "window before any job";
         return false;
       }
-      core::SlotTime r = 0;
-      core::SlotTime d = 0;
-      if (!(args >> r >> d)) {
+      auto& [r, d] = jobs_.back().windows.emplace_back();
+      if (!args.number(r) || !args.number(d)) {
         if (why != nullptr) *why = "window needs: release deadline";
         return false;
       }
-      jobs_.back().windows.emplace_back(r, d);
       return true;
     }
     if (why != nullptr) {
-      *why = "unknown directive '" + keyword + "' in model multi-window";
+      *why = "unknown directive '" + std::string(keyword) +
+             "' in model multi-window";
     }
     return false;
   }

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
+#include "core/lines.hpp"
 #include "engine/parallel.hpp"
 #include "report/table.hpp"
 
@@ -62,93 +62,68 @@ const std::vector<std::string>& grid_solvers(const CampaignGrid& grid,
 std::optional<CampaignGrid> parse_campaign(std::istream& in,
                                            std::string* error,
                                            const ScenarioSpec& base) {
-  const auto fail = [error](int line, const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line) + ": " + why;
-    }
+  const std::string text = core::read_all(in);
+  core::LineCursor lines(text);
+  const auto fail = [&](const std::string& why) {
+    lines.fail(error, why);
     return std::nullopt;
   };
   CampaignGrid grid;
   grid.base = base;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
+  core::Tokens tokens;
+  std::string_view token;
+  // Axis lines: one or more numbers, none below `floor`. A one-value
+  // slack/horizon line is the historic scalar knob: a single-point axis
+  // expands to exactly what the old base override did.
+  const auto axis = [&](const std::string& directive, auto& values,
+                        int floor) {
+    while (tokens.next(token)) {
+      auto& value = values.emplace_back();
+      if (!core::parse_number(token, value)) {
+        return "bad value for " + directive;
+      }
+      if (value < floor) {
+        return directive + " must be >= " + std::to_string(floor);
+      }
     }
-    std::istringstream tokens(line);
-    std::string directive;
-    if (!(tokens >> directive)) continue;  // blank / comment-only line
-
+    return values.empty() ? directive + " needs values" : std::string();
+  };
+  while (lines.next(tokens)) {
+    tokens.next(token);
+    const std::string directive(token);
+    std::string why;
     if (directive == "scenario") {
-      std::string name;
-      while (tokens >> name) grid.scenarios.push_back(name);
-      if (grid.scenarios.empty()) {
-        return fail(line_no, "scenario needs at least one name");
-      }
-      continue;
-    }
-    if (directive == "n" || directive == "g") {
-      auto& axis = directive == "n" ? grid.ns : grid.gs;
-      int value = 0;
-      while (tokens >> value) {
-        if (value < 1) return fail(line_no, directive + " must be >= 1");
-        axis.push_back(value);
-      }
-      if (!tokens.eof()) return fail(line_no, "bad value for " + directive);
-      if (axis.empty()) return fail(line_no, directive + " needs values");
-      continue;
-    }
-    // A one-value slack/horizon line is the historic scalar knob: a
-    // single-point axis expands to exactly what the old base override did.
-    if (directive == "slack" || directive == "horizon") {
-      auto& axis = directive == "slack" ? grid.slacks : grid.horizons;
-      double value = 0.0;
-      while (tokens >> value) {
-        if (value < 0.0) return fail(line_no, directive + " must be >= 0");
-        axis.push_back(value);
-      }
-      if (!tokens.eof()) return fail(line_no, "bad value for " + directive);
-      if (axis.empty()) return fail(line_no, directive + " needs values");
-      continue;
-    }
-    if (directive == "solvers" || directive.rfind("solvers:", 0) == 0) {
-      std::vector<std::string>* subset = nullptr;
-      if (directive == "solvers") {
-        subset = &grid.solvers;
+      while (tokens.next(token)) grid.scenarios.emplace_back(token);
+      if (grid.scenarios.empty()) why = "scenario needs at least one name";
+    } else if (directive == "n" || directive == "g") {
+      why = axis(directive, directive == "n" ? grid.ns : grid.gs, 1);
+    } else if (directive == "slack" || directive == "horizon") {
+      why = axis(directive,
+                 directive == "slack" ? grid.slacks : grid.horizons, 0);
+    } else if (directive == "solvers:") {
+      why = "solvers: needs a scenario name";
+    } else if (directive == "solvers" || directive.rfind("solvers:", 0) == 0) {
+      auto& subset = directive == "solvers"
+                         ? grid.solvers
+                         : grid.scenario_solvers[directive.substr(8)];
+      if (!subset.empty()) {
+        why = "duplicate directive '" + directive + "'";
       } else {
-        const std::string scenario = directive.substr(8);
-        if (scenario.empty()) {
-          return fail(line_no, "solvers: needs a scenario name");
-        }
-        subset = &grid.scenario_solvers[scenario];
+        while (tokens.next(token)) subset.emplace_back(token);
+        if (subset.empty()) why = directive + " needs at least one solver name";
       }
-      if (!subset->empty()) {
-        return fail(line_no, "duplicate directive '" + directive + "'");
-      }
-      std::string name;
-      while (tokens >> name) subset->push_back(name);
-      if (subset->empty()) {
-        return fail(line_no, directive + " needs at least one solver name");
-      }
-      continue;
-    }
-    // Scalar knobs shared by every grid point.
-    const auto scalar = [&](auto& out) -> bool {
-      return static_cast<bool>(tokens >> out) && (tokens >> std::ws).eof();
-    };
-    bool parsed = false;
-    if (directive == "trials") {
-      parsed = scalar(grid.trials) && grid.trials >= 1;
-    } else if (directive == "seed") {
-      parsed = scalar(grid.base.seed);
-    } else if (directive == "eps") {
-      parsed = scalar(grid.base.eps);
+    } else if (directive == "trials" || directive == "seed" ||
+               directive == "eps") {
+      // Scalar knobs shared by every grid point: exactly one number.
+      const bool read =
+          directive == "trials" ? tokens.number(grid.trials) && grid.trials >= 1
+          : directive == "seed" ? tokens.number(grid.base.seed)
+                                : tokens.number(grid.base.eps);
+      if (!read || !tokens.done()) why = "bad value for " + directive;
     } else {
-      return fail(line_no, "unknown directive '" + directive + "'");
+      why = "unknown directive '" + directive + "'";
     }
-    if (!parsed) return fail(line_no, "bad value for " + directive);
+    if (!why.empty()) return fail(why);
   }
   if (grid.scenarios.empty()) {
     if (error != nullptr) *error = "campaign names no scenario";

@@ -259,7 +259,13 @@ void write_json_string(std::ostream& os, const std::string& text) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
       case '\n': os << "\\n"; break;
-      default: os << c;
+      default:
+        if (const auto byte = static_cast<unsigned char>(c); byte < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          os << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xf];
+        } else {
+          os << c;
+        }
     }
   }
   os << '"';

@@ -1,15 +1,14 @@
 #include "engine/selector.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <istream>
 #include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
+#include "core/lines.hpp"
 #include "engine/runner.hpp"
 
 namespace abt::engine {
@@ -18,21 +17,6 @@ namespace {
 
 constexpr std::string_view kMagic = "selector-model";
 constexpr std::string_view kVersion = "v1";
-
-bool parse_double_token(const std::string& token, double& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end && !token.empty();
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream stream(line);
-  std::vector<std::string> out;
-  std::string token;
-  while (stream >> token) out.push_back(token);
-  return out;
-}
 
 /// One CSV record, honoring double-quoted fields with "" escapes (the
 /// report::Table writer quotes any field containing a comma or quote).
@@ -124,11 +108,10 @@ void write_model(std::ostream& os, const SelectorModel& model) {
 
 std::optional<SelectorModel> parse_model(std::istream& in,
                                          std::string* error) {
-  int line_no = 0;
+  const std::string text = core::read_all(in);
+  core::LineCursor lines(text);
   const auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
+    lines.fail(error, why);
     return std::nullopt;
   };
 
@@ -148,7 +131,7 @@ std::optional<SelectorModel> parse_model(std::istream& in,
       return false;
     }
     for (std::size_t i = 0; i < kFeatureCount; ++i) {
-      if (!parse_double_token(tokens[i + 1], out[i])) {
+      if (!core::parse_number(tokens[i + 1], out[i])) {
         *why = "bad number '" + tokens[i + 1] + "' in " + tokens[0];
         return false;
       }
@@ -156,14 +139,11 @@ std::optional<SelectorModel> parse_model(std::istream& in,
     return true;
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    const std::vector<std::string> tokens = tokens_of(line);
-    if (tokens.empty()) continue;
+  core::Tokens line;
+  std::vector<std::string> tokens;
+  while (lines.next(line)) {
+    tokens.clear();
+    for (std::string_view token; line.next(token);) tokens.emplace_back(token);
 
     if (!saw_header) {
       if (tokens.size() != 2 || tokens[0] != kMagic) {
@@ -186,13 +166,8 @@ std::optional<SelectorModel> parse_model(std::istream& in,
       saw_features = true;
       int count = 0;
       if (tokens.size() < 2) return fail("features needs a count");
-      {
-        const char* begin = tokens[1].data();
-        const char* end = begin + tokens[1].size();
-        const auto [ptr, ec] = std::from_chars(begin, end, count);
-        if (ec != std::errc() || ptr != end) {
-          return fail("bad feature count '" + tokens[1] + "'");
-        }
+      if (!core::parse_number(tokens[1], count)) {
+        return fail("bad feature count '" + tokens[1] + "'");
       }
       if (count != static_cast<int>(kFeatureCount) ||
           tokens.size() != kFeatureCount + 2) {
@@ -258,7 +233,7 @@ std::optional<SelectorModel> parse_model(std::istream& in,
     }
   }
 
-  ++line_no;  // EOF diagnostics point one past the last line.
+  // EOF diagnostics point one past the last line, where the cursor is.
   if (!saw_header) return fail("empty input, expected selector-model header");
   if (!saw_features) return fail("missing features line");
   if (!saw_mu) return fail("missing mu line");
@@ -321,9 +296,7 @@ std::optional<SelectorModel> train_selector(std::istream& csv,
                                             std::string* error) {
   int line_no = 0;
   const auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
+    if (error != nullptr) *error = core::line_error(line_no, why);
     return std::nullopt;
   };
 
@@ -377,12 +350,12 @@ std::optional<SelectorModel> train_selector(std::istream& csv,
     ScenarioSpec spec;
     spec.name = field(col_scenario);
     double n = 0.0, g = 0.0, seed = 0.0, runs = 0.0, ok = 0.0, feas = 0.0;
-    if (!parse_double_token(field(col_n), n) ||
-        !parse_double_token(field(col_g), g) ||
-        !parse_double_token(field(col_seed), seed) ||
-        !parse_double_token(field(col_runs), runs) ||
-        !parse_double_token(field(col_ok), ok) ||
-        !parse_double_token(field(col_feasible), feas)) {
+    if (!core::parse_number(field(col_n), n) ||
+        !core::parse_number(field(col_g), g) ||
+        !core::parse_number(field(col_seed), seed) ||
+        !core::parse_number(field(col_runs), runs) ||
+        !core::parse_number(field(col_ok), ok) ||
+        !core::parse_number(field(col_feasible), feas)) {
       return fail("bad numeric field in row for solver '" +
                   field(col_solver) + "'");
     }
@@ -394,11 +367,11 @@ std::optional<SelectorModel> train_selector(std::istream& csv,
     std::string key = spec.name + "|" + field(col_n) + "|" + field(col_g) +
                       "|" + field(col_seed);
     double axis = 0.0;
-    if (col_slack >= 0 && parse_double_token(field(col_slack), axis)) {
+    if (col_slack >= 0 && core::parse_number(field(col_slack), axis)) {
       spec.slack = axis;
       key += "|" + field(col_slack);
     }
-    if (col_horizon >= 0 && parse_double_token(field(col_horizon), axis)) {
+    if (col_horizon >= 0 && core::parse_number(field(col_horizon), axis)) {
       spec.horizon = axis;
       key += "|" + field(col_horizon);
     }
@@ -419,10 +392,10 @@ std::optional<SelectorModel> train_selector(std::istream& csv,
     record.feasible_rate = feas / runs;
     record.produced = ok > 0.0;
     double value = 0.0;
-    if (parse_double_token(field(col_ratio), value)) {
+    if (core::parse_number(field(col_ratio), value)) {
       record.ratio_median = value;
     }
-    if (parse_double_token(field(col_wall), value)) {
+    if (core::parse_number(field(col_wall), value)) {
       record.wall_median = value;
     }
     points[it->second].records.push_back(std::move(record));

@@ -6,14 +6,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "core/assert.hpp"
 #include "core/io.hpp"
+#include "core/lines.hpp"
 
 namespace abt::service {
 
@@ -26,43 +27,6 @@ constexpr std::string_view kTypeNames[] = {
 bool fail(std::string* error, std::string what) {
   if (error != nullptr) *error = std::move(what);
   return false;
-}
-
-bool fail_line(std::string* error, int line, const std::string& what) {
-  return fail(error, "line " + std::to_string(line) + ": " + what);
-}
-
-/// Strict full-token numeric parses, mirroring the CLI's: the whole token
-/// must be consumed, so "12x" and "" are rejected.
-bool parse_full_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool parse_full_size(const std::string& text, std::size_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
-bool parse_full_int(const std::string& text, int* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (value < INT_MIN || value > INT_MAX) return false;
-  *out = static_cast<int>(value);
-  return true;
 }
 
 /// Flags ride the header line, so their syntax is deliberately tiny.
@@ -113,29 +77,31 @@ bool parse_frame_header(const std::string& line, FrameType* type,
                         std::size_t* bytes,
                         std::vector<std::pair<std::string, std::string>>* flags,
                         std::string* error) {
-  std::istringstream ls(line);
-  std::string magic;
-  std::string name;
-  std::string length;
-  if (!(ls >> magic) || magic != kMagic) {
+  core::Tokens ls(line);
+  std::string_view magic;
+  std::string_view name;
+  std::string_view length;
+  if (!ls.next(magic) || magic != kMagic) {
     return fail(error, "bad magic (expected 'abt1')");
   }
-  if (!(ls >> name)) return fail(error, "missing frame type");
+  if (!ls.next(name)) return fail(error, "missing frame type");
   const auto parsed = frame_type_from(name);
   if (!parsed.has_value()) {
-    return fail(error, "unknown frame type '" + name + "'");
+    return fail(error, "unknown frame type '" + std::string(name) + "'");
   }
   *type = *parsed;
-  if (!(ls >> length) || !parse_full_size(length, bytes)) {
+  if (!ls.next(length) || !core::parse_number(length, *bytes)) {
     return fail(error, "bad payload length");
   }
   if (*bytes > kMaxFrameBytes) return fail(error, "payload length over limit");
   flags->clear();
-  std::string token;
-  while (ls >> token) {
+  std::string_view token;
+  while (ls.next(token)) {
     const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      return fail(error, "bad flag '" + token + "' (want key=value)");
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == token.size() ||
+        token.find('=', eq + 1) != std::string_view::npos) {
+      return fail(error, "bad flag '" + std::string(token) +
+                             "' (want key=value)");
     }
     flags->emplace_back(token.substr(0, eq), token.substr(eq + 1));
   }
@@ -165,7 +131,6 @@ bool read_frame(std::istream& in, Frame* out, std::string* error) {
     if (error != nullptr) error->clear();  // clean EOF at a frame boundary
     return false;
   }
-  if (!header.empty() && header.back() == '\r') header.pop_back();
   std::size_t bytes = 0;
   if (!parse_frame_header(header, &out->type, &bytes, &out->flags, error)) {
     return false;
@@ -190,121 +155,81 @@ void write_frame(std::ostream& out, const Frame& frame) {
 bool parse_solve_payload(const std::string& payload, SolveRequest* out,
                          std::string* error) {
   *out = SolveRequest{};
-  std::size_t pos = 0;
-  int line_no = 0;
+  core::LineCursor lines(payload);
+  constexpr std::string_view kDirectives[] = {
+      "id", "solvers", "budget-ms", "accept-gap", "progress", "format"};
+  bool seen[std::size(kDirectives)] = {};
+
   bool saw_instance = false;
-  std::size_t instance_offset = 0;
-  int instance_line_base = 0;
-  bool seen[6] = {};  // id, solvers, budget, gap, progress, format
-  auto once = [&](int which, const char* name) {
-    if (seen[which]) {
-      return fail_line(error, line_no,
-                       std::string("duplicate ") + name + " directive");
-    }
-    seen[which] = true;
-    return true;
-  };
-
-  while (pos < payload.size()) {
-    const auto nl = payload.find('\n', pos);
-    std::string line =
-        payload.substr(pos, (nl == std::string::npos ? payload.size() : nl) -
-                                pos);
-    pos = nl == std::string::npos ? payload.size() : nl + 1;
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string keyword;
-    if (!(ls >> keyword)) continue;  // blank line
-
-    std::string extra;
+  core::Tokens ls;
+  while (lines.next(ls)) {
+    std::string_view keyword;
+    ls.next(keyword);
     if (keyword == "instance") {
-      if (ls >> extra) {
-        return fail_line(error, line_no,
-                         "instance directive takes no arguments");
+      if (!ls.done()) {
+        return lines.fail(error, "instance directive takes no arguments");
       }
       saw_instance = true;
-      instance_offset = pos;
-      instance_line_base = line_no;
       break;
     }
+    const auto* known = std::find(std::begin(kDirectives),
+                                  std::end(kDirectives), keyword);
+    if (known == std::end(kDirectives)) {
+      return lines.fail(error, "unknown request directive '" +
+                                   std::string(keyword) + "'");
+    }
+    if (std::exchange(seen[known - std::begin(kDirectives)], true)) {
+      return lines.fail(error, "duplicate " + std::string(keyword) +
+                                   " directive");
+    }
+    std::string_view token;
     if (keyword == "id") {
-      if (!once(0, "id")) return false;
-      if (!(ls >> out->id)) return fail_line(error, line_no, "id needs a token");
+      if (!ls.next(token)) return lines.fail(error, "id needs a token");
+      out->id = token;
     } else if (keyword == "solvers") {
-      if (!once(1, "solvers")) return false;
-      std::string name;
-      while (ls >> name) out->solvers.push_back(name);
+      while (ls.next(token)) out->solvers.emplace_back(token);
       if (out->solvers.empty()) {
-        return fail_line(error, line_no, "solvers needs at least one name");
+        return lines.fail(error, "solvers needs at least one name");
       }
     } else if (keyword == "budget-ms") {
-      if (!once(2, "budget-ms")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_double(value, &out->budget_ms) ||
-          out->budget_ms < 0.0) {
-        return fail_line(error, line_no,
-                         "budget-ms needs a non-negative number");
+      if (!ls.number(out->budget_ms) || out->budget_ms < 0.0) {
+        return lines.fail(error, "budget-ms needs a non-negative number");
       }
+      if (out->budget_ms == 0.0) out->budget_ms = 0.0;  // -0 reads as 0
     } else if (keyword == "accept-gap") {
-      if (!once(3, "accept-gap")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_double(value, &out->accept_gap)) {
-        return fail_line(error, line_no, "accept-gap needs a number");
+      if (!ls.number(out->accept_gap)) {
+        return lines.fail(error, "accept-gap needs a number");
       }
+      // Every negative gap means "any checker pass": one spelling, so one
+      // cache key, and the value write_solve_payload reproduces.
+      if (out->accept_gap < 0.0) out->accept_gap = -1.0;
     } else if (keyword == "progress") {
-      if (!once(4, "progress")) return false;
-      std::string value;
-      if (!(ls >> value) || !parse_full_int(value, &out->progress) ||
-          out->progress < 0) {
-        return fail_line(error, line_no,
-                         "progress needs a non-negative integer");
+      if (!ls.number(out->progress) || out->progress < 0) {
+        return lines.fail(error, "progress needs a non-negative integer");
       }
-    } else if (keyword == "format") {
-      if (!once(5, "format")) return false;
-      if (!(ls >> out->format) ||
-          (out->format != "json" && out->format != "csv" &&
-           out->format != "table")) {
-        return fail_line(error, line_no,
-                         "format must be json, csv or table");
+    } else {  // format
+      if (!ls.next(token) ||
+          (token != "json" && token != "csv" && token != "table")) {
+        return lines.fail(error, "format must be json, csv or table");
       }
-    } else {
-      return fail_line(error, line_no,
-                       "unknown request directive '" + keyword + "'");
+      out->format = token;
     }
-    if (keyword != "solvers" && (ls >> extra)) {
-      return fail_line(error, line_no,
-                       "trailing tokens after " + keyword + " directive");
+    if (!ls.done()) {
+      return lines.fail(error, "trailing tokens after " +
+                                   std::string(keyword) + " directive");
     }
   }
+  if (!saw_instance) return lines.fail(error, "missing instance directive");
 
-  if (!saw_instance) {
-    return fail_line(error, line_no + 1, "missing instance directive");
-  }
-
-  std::istringstream instance_text(payload.substr(instance_offset));
-  std::string parse_error;
-  auto inst = core::parse_instance(instance_text, &parse_error);
-  if (!inst.has_value()) {
-    // Re-number the io-v2 error over the whole payload: its "line M"
-    // counts from the first instance line, which is payload line
-    // instance_line_base + M.
-    int local = 0;
-    std::size_t colon = 0;
-    if (parse_error.rfind("line ", 0) == 0 &&
-        (colon = parse_error.find(':')) != std::string::npos &&
-        parse_full_int(parse_error.substr(5, colon - 5), &local)) {
-      return fail_line(error, instance_line_base + local,
-                       parse_error.substr(colon + 2));
-    }
-    return fail_line(error, instance_line_base + 1, parse_error);
-  }
+  // The instance is the rest of the payload, numbered over the whole of it.
+  const int instance_line = lines.line();
+  auto inst = core::parse_instance(lines, error);
+  if (!inst.has_value()) return false;
   std::ostringstream canonical;
   std::string why;
   if (!core::write_instance(canonical, *inst, &why)) {
-    return fail_line(error, instance_line_base + 1,
-                     "instance not serializable: " + why);
+    return fail(error, core::line_error(instance_line + 1,
+                                        "instance not serializable: " + why));
   }
   out->instance = std::move(*inst);
   out->canonical = canonical.str();
@@ -366,8 +291,8 @@ std::optional<Address> parse_address(const std::string& text,
   const auto colon = text.rfind(':');
   if (text.find('/') == std::string::npos && colon != std::string::npos) {
     int port = -1;
-    if (!parse_full_int(text.substr(colon + 1), &port) || port < 0 ||
-        port > 65535) {
+    const std::string_view digits = std::string_view(text).substr(colon + 1);
+    if (!core::parse_number(digits, port) || port < 0 || port > 65535) {
       fail(error, "bad port in address '" + text + "'");
       return std::nullopt;
     }
@@ -439,7 +364,6 @@ bool Connection::read_frame(Frame* out, std::string* error) {
   }
   std::string header = buffer_.substr(consumed_, nl - consumed_);
   consumed_ = nl + 1;
-  if (!header.empty() && header.back() == '\r') header.pop_back();
   std::size_t bytes = 0;
   if (!parse_frame_header(header, &out->type, &bytes, &out->flags, error)) {
     return false;

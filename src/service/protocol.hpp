@@ -33,7 +33,10 @@
 //     job 0 2.5 2.5
 //
 // Payload parse errors are line-numbered over the WHOLE payload ("line
-// 9: ..."), instance lines included, in the io-v2 style.
+// 9: ..."), instance lines included, in the io-v2 style. Payloads, headers
+// and cancel payloads share the core/lines lexer: numbers are strict
+// full tokens (finite reals, in-range integers) and every directive but
+// `solvers` rejects trailing tokens.
 
 #include <cstddef>
 #include <istream>
@@ -79,9 +82,9 @@ struct Frame {
   [[nodiscard]] bool has_flag(std::string_view key) const;
 };
 
-/// Parses one header line (without the trailing newline). False (with
-/// `error`) on malformed magic, unknown type, bad length or bad flag
-/// syntax; `*bytes` is the declared payload length.
+/// Parses one header line (without the trailing newline; a CR before it
+/// is whitespace). False (with `error`) on malformed magic, unknown type,
+/// bad length or bad flag syntax; `*bytes` is the declared payload length.
 [[nodiscard]] bool parse_frame_header(
     const std::string& line, FrameType* type, std::size_t* bytes,
     std::vector<std::pair<std::string, std::string>>* flags,

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/assert.hpp"
+#include "core/lines.hpp"
 #include "engine/parallel.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/runner.hpp"
@@ -336,13 +337,20 @@ void Server::serve(Connection& conn, double factor) {
 }
 
 void Server::handle_cancel(Connection& conn, const Frame& frame) {
-  std::istringstream ls(frame.payload);
-  std::string keyword;
-  std::string id;
-  if (!(ls >> keyword) || keyword != "id" || !(ls >> id)) {
-    send_error(conn, "line 1: cancel payload must be 'id <token>'");
+  core::LineCursor lines(frame.payload);
+  core::Tokens ls;
+  std::string_view keyword;
+  std::string_view token;
+  const bool id_line = lines.next(ls) && ls.next(keyword) &&
+                       keyword == "id" && ls.next(token);
+  const bool trailing = id_line && !ls.done();
+  if (!id_line || trailing || lines.next(ls)) {
+    const char* what = trailing ? "trailing tokens after id directive"
+                                : "cancel payload must be 'id <token>'";
+    send_error(conn, core::line_error(lines.line(), what));
     return;
   }
+  const std::string id(token);
   bool found = false;
   {
     const std::lock_guard<std::mutex> lock(active_mutex_);
@@ -355,8 +363,11 @@ void Server::handle_cancel(Connection& conn, const Frame& frame) {
   if (found) cancelled_.fetch_add(1, std::memory_order_relaxed);
   Frame reply;
   reply.type = FrameType::kOk;
-  reply.payload = std::string("{\"cancelled\": ") +
-                  (found ? "true" : "false") + ", \"id\": \"" + id + "\"}\n";
+  std::ostringstream payload;
+  payload << "{\"cancelled\": " << (found ? "true" : "false") << ", \"id\": ";
+  engine::write_json_string(payload, id);
+  payload << "}\n";
+  reply.payload = payload.str();
   std::string ignored;
   if (conn.write_frame(reply, &ignored)) {
     served_.fetch_add(1, std::memory_order_relaxed);

@@ -187,7 +187,70 @@ INSTANTIATE_TEST_SUITE_P(
                       "duplicate model"},
         MalformedCase{"model slotted\ncapacity 3\njob 0 4 2\ncapacity 2\n",
                       "line 4", "duplicate capacity"},
-        MalformedCase{"model teleport\n", "line 1", "unknown model"}));
+        MalformedCase{"model teleport\n", "line 1", "unknown model"},
+        // Numbers are strict full tokens: integers are never truncated
+        // from a fraction or a glued suffix, and reals are finite.
+        MalformedCase{"model slotted\ncapacity 2\njob 1 5 2.5\n", "line 3",
+                      "job needs: release deadline length"},
+        MalformedCase{"model slotted\ncapacity 2.9\n", "line 2",
+                      "capacity needs a positive integer"},
+        MalformedCase{"model slotted\ncapacity 2x\n", "line 2",
+                      "capacity needs a positive integer"},
+        MalformedCase{"model continuous\ncapacity 2\njob 0 4 1.5x\n",
+                      "line 3", "job needs: release deadline length"},
+        MalformedCase{"model continuous\ncapacity 2\njob 0 0x10 1\n",
+                      "line 3", "job needs: release deadline length"},
+        MalformedCase{"model continuous\ncapacity 2\njob 0 1e-400 1\n",
+                      "line 3", "job needs: release deadline length"},
+        MalformedCase{"model weighted\ncapacity 3\njob 0 2 2\nweight 2x\n",
+                      "line 4", "weight needs a positive integer"},
+        MalformedCase{"model weighted\ncapacity 3\njob 0 2 2\nweight 1.5\n",
+                      "line 4", "weight needs a positive integer"},
+        MalformedCase{"model multi-window\ncapacity 2\njob 2.5\n", "line 3",
+                      "job needs: length"},
+        MalformedCase{"model multi-window\ncapacity 2\njob 2\nwindow 0 4x\n",
+                      "line 4", "window needs: release deadline"},
+        // Every directive rejects trailing tokens, in all four models.
+        MalformedCase{"model slotted extra\n", "line 1",
+                      "trailing tokens after model directive"},
+        MalformedCase{"model slotted\ncapacity 2 3\n", "line 2",
+                      "trailing tokens after capacity directive"},
+        MalformedCase{"model slotted\ncapacity 2\njob 1 5 2 junk\n",
+                      "line 3", "trailing tokens after job directive"},
+        MalformedCase{"model continuous\ncapacity 2\njob 0 4 1 junk\n",
+                      "line 3", "trailing tokens after job directive"},
+        MalformedCase{"model weighted\ncapacity 3\njob 0 2 2\nweight 2 2\n",
+                      "line 4", "trailing tokens after weight directive"},
+        MalformedCase{"model multi-window\ncapacity 2\njob 2 2\n", "line 3",
+                      "trailing tokens after job directive"},
+        MalformedCase{
+            "model multi-window\ncapacity 2\njob 2\nwindow 0 4 9\n",
+            "line 4", "trailing tokens after window directive"},
+        // In-range slot times whose window or total work does not fit.
+        MalformedCase{
+            "model slotted\ncapacity 1\njob 5 -9223372036854775807 1\n",
+            "line 4", "window shorter than length"},
+        MalformedCase{"model slotted\ncapacity 1\n"
+                      "job 0 9223372036854775807 9223372036854775807\n"
+                      "job 0 9223372036854775807 9223372036854775807\n",
+                      "line 5", "total work overflows"},
+        MalformedCase{"model multi-window\ncapacity 1\n"
+                      "job 9223372036854775807\nwindow 0 9223372036854775807\n"
+                      "job 1\nwindow 0 1\n",
+                      "line 7", "total work overflows"}));
+
+// The lexer takes CRLF line ends, tabs, comments and signed numbers.
+TEST(InstanceIoV2, LexerAcceptsCrlfTabsAndSigns) {
+  std::istringstream in(
+      "model slotted\r\ncapacity\t+2\r\n\r\njob +0 4\t2 # note\r\n");
+  std::string error;
+  const auto parsed = core::parse_instance(in, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->slotted.capacity(), 2);
+  ASSERT_EQ(parsed->slotted.size(), 1);
+  EXPECT_EQ(parsed->slotted.jobs()[0].deadline, 4);
+  EXPECT_EQ(parsed->slotted.jobs()[0].length, 2);
+}
 
 // The unknown-model diagnostic names the registered extended models, so a
 // binary missing the codecs is distinguishable from a typo.

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "engine/runner.hpp"
+
 namespace abt::report {
 namespace {
 
@@ -30,6 +32,14 @@ TEST(Table, CsvEscapesQuotesAndCommas) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::num(2.0, 3), "2.000");
+}
+
+// Every JSON writer shares this escaper; a control character (a cancel
+// id can carry one) must not reach the output raw.
+TEST(JsonString, EscapesQuotesBackslashesAndControlCharacters) {
+  std::ostringstream os;
+  engine::write_json_string(os, "a\"b\\c\nd\te\x01");
+  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\u0009e\\u0001\"");
 }
 
 TEST(RatioStats, TracksMeanMinMax) {

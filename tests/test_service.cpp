@@ -115,6 +115,8 @@ TEST(ServiceProtocol, HeaderRejectsMalformedLines) {
   EXPECT_TRUE(rejects("abt1 solve nope"));
   EXPECT_TRUE(rejects("abt1 solve 0 ="));
   EXPECT_TRUE(rejects("abt1 solve 99999999999999999999"));
+  // A flag value may not carry '=': frame_header could not re-emit it.
+  EXPECT_TRUE(rejects("abt1 solve 0 a=b=c"));
   EXPECT_FALSE(rejects("abt1 solve 12 exit=0"));
   EXPECT_EQ(type, FrameType::kSolve);
   EXPECT_EQ(bytes, 12u);
@@ -211,6 +213,16 @@ TEST(ServiceProtocol, MalformedPayloadsAreLineNumbered) {
       // offset: payload line 5.
       {"id a\ninstance\nmodel continuous\ncapacity 2\njob 1 2\n", "line 5:",
        ""},
+      // Numbers are strict full tokens: no nan, inf or hex, and the
+      // instance's integers are not truncated.
+      {"budget-ms nan\n", "line 1:", "budget-ms needs a non-negative number"},
+      {"budget-ms inf\n", "line 1:", "budget-ms needs a non-negative number"},
+      {"budget-ms 0x10\n", "line 1:", "budget-ms needs a non-negative number"},
+      {"accept-gap nan\n", "line 1:", "accept-gap needs a number"},
+      {"id a\ninstance\nmodel slotted\ncapacity 2\njob 1 5 2.5\n", "line 5:",
+       "job needs: release deadline length"},
+      {"instance\nmodel slotted extra\n", "line 2:",
+       "trailing tokens after model directive"},
   };
   for (const Case& c : cases) {
     SolveRequest out;
@@ -245,6 +257,17 @@ TEST(ServiceProtocol, CacheKeyCanonicalizesTextualSpellings) {
   ASSERT_TRUE(service::parse_solve_payload(spelling_a, &a, &error)) << error;
   ASSERT_TRUE(service::parse_solve_payload(spelling_b, &b, &error)) << error;
   EXPECT_EQ(service::cache_key(a), service::cache_key(b));
+  // Every negative accept-gap means "any checker pass" and budget-ms -0
+  // means no budget: both share the key of the request that omits them.
+  SolveRequest implicit, spelled;
+  ASSERT_TRUE(service::parse_solve_payload("instance\n" + canonical,
+                                           &implicit, &error))
+      << error;
+  ASSERT_TRUE(service::parse_solve_payload(
+      "accept-gap -0.5\nbudget-ms -0\ninstance\n" + canonical, &spelled,
+      &error))
+      << error;
+  EXPECT_EQ(service::cache_key(spelled), service::cache_key(implicit));
 
   // Changing any response-relevant parameter changes the key.
   SolveRequest c = a;
@@ -447,7 +470,8 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
   start(config);
 
   SolveRequest victim;
-  victim.id = "doomed";
+  // The id carries JSON metacharacters: the cancel reply must escape it.
+  victim.id = "doo\"med\\";
   victim.solvers = {"busy/weighted-exact"};
   victim.budget_ms = 60000.0;
   victim.instance = weighted_instance(26, 31);
@@ -466,16 +490,21 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
   // Cancelling a bogus id finds nothing and says so.
   Frame miss;
   miss.type = FrameType::kCancel;
-  miss.payload = "id nobody\n";
-  EXPECT_NE(roundtrip(miss).final.payload.find("\"cancelled\": false"),
-            std::string::npos);
+  miss.payload = "id no\"body\\\n";
+  EXPECT_EQ(roundtrip(miss).final.payload,
+            "{\"cancelled\": false, \"id\": \"no\\\"body\\\\\"}\n");
+
+  // Malformed cancel payloads are line-numbered errors.
+  miss.payload = "id nobody extra\n";
+  EXPECT_EQ(roundtrip(miss).final.payload,
+            "line 1: trailing tokens after id directive\n");
 
   // in_flight counts the victim's connection from its accept, which can
-  // come before the daemon registers the id "doomed": a cancel sent in
+  // come before the daemon registers the victim's id: a cancel sent in
   // that gap finds nothing. Re-send it until it lands, within a bound.
   Frame cancel;
   cancel.type = FrameType::kCancel;
-  cancel.payload = "id doomed\n";
+  cancel.payload = "id doo\"med\\\n";
   service::Exchange reply = roundtrip(cancel);
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -485,9 +514,8 @@ TEST_F(ServiceFixture, CancelVerbAbortsAnInFlightSolve) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     reply = roundtrip(cancel);
   }
-  EXPECT_NE(reply.final.payload.find("\"cancelled\": true"),
-            std::string::npos)
-      << reply.final.payload;
+  EXPECT_EQ(reply.final.payload,
+            "{\"cancelled\": true, \"id\": \"doo\\\"med\\\\\"}\n");
 
   // The solve returns promptly with its anytime incumbent instead of
   // burning the rest of its 60 s budget.

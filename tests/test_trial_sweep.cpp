@@ -483,6 +483,11 @@ TEST(Campaign, ParseFileFormatAndRejectBadDirectives) {
 
   std::istringstream empty("n 8\n");
   EXPECT_FALSE(engine::parse_campaign(empty, &error).has_value());
+
+  // The seed is unsigned: -1 is an error, not 2^64 - 1.
+  std::istringstream wrapped("scenario interval\nseed -1\n");
+  EXPECT_FALSE(engine::parse_campaign(wrapped, &error).has_value());
+  EXPECT_EQ(error, "line 2: bad value for seed");
 }
 
 TEST(Campaign, ExpandGridCrossesSlackAndHorizonAxes) {
