@@ -12,6 +12,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -342,6 +343,29 @@ void BM_UnboundedDpNaive(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_UnboundedDpNaive)->Range(16, 2048)->Complexity();
+
+// One flexible trial as a campaign runs it: the five standard solvers that
+// apply to a flexible instance, one after another through registry.run
+// (timing + checker). Each iteration gets a fresh make_instance, built
+// outside the timed region, so its g = infinity DP slot starts empty: the
+// first pipeline solves the DP and the other three DP readers share it.
+void BM_FlexibleTrial(benchmark::State& state) {
+  const auto inst = make_flexible(static_cast<int>(state.range(0)));
+  const core::SolverRegistry& registry = engine::shared_registry();
+  const std::vector<std::string> solvers = {
+      "busy/pipeline-greedy-tracking", "busy/pipeline-two-track-peeling",
+      "busy/pipeline-first-fit", "busy/preemptive", "busy/dp-unbounded"};
+  for (auto _ : state) {
+    state.PauseTiming();
+    const core::ProblemInstance trial = core::make_instance(inst);
+    state.ResumeTiming();
+    for (const std::string& name : solvers) {
+      benchmark::DoNotOptimize(registry.run(name, trial));
+    }
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FlexibleTrial)->Arg(256)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_PreemptiveBounded(benchmark::State& state) {
   const auto inst = make_interval(static_cast<int>(state.range(0)), 9, 2.0);

@@ -14,7 +14,14 @@ using core::JobId;
 FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
                                          IntervalAlgorithm algorithm,
                                          UnboundedOptions dp_options) {
-  const UnboundedSolution unbounded = solve_unbounded(inst, dp_options);
+  return schedule_flexible(inst, solve_unbounded(inst, dp_options), algorithm);
+}
+
+FlexiblePipelineResult schedule_flexible(const ContinuousInstance& inst,
+                                         const UnboundedSolution& unbounded,
+                                         IntervalAlgorithm algorithm) {
+  ABT_ASSERT(unbounded.starts.size() == static_cast<std::size_t>(inst.size()),
+             "g=inf solution does not match the instance");
   const ContinuousInstance frozen =
       freeze_to_interval_instance(inst, unbounded);
 

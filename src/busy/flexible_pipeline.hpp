@@ -25,9 +25,17 @@ struct FlexiblePipelineResult {
 /// of interval jobs), then run an interval-job algorithm. GreedyTracking
 /// yields the paper's headline 3-approximation; the profile-charging
 /// algorithms yield 4 (Theorem 10, tight on the Fig 10 gadget).
+/// Equivalent to the overload below on solve_unbounded(inst, dp_options).
 [[nodiscard]] FlexiblePipelineResult schedule_flexible(
     const core::ContinuousInstance& inst,
     IntervalAlgorithm algorithm = IntervalAlgorithm::kGreedyTracking,
     UnboundedOptions dp_options = {});
+
+/// The same pipeline on an already computed g = infinity solution of
+/// `inst`, so callers holding one (the registry's per-instance DP slot)
+/// freeze from it instead of solving the DP again.
+[[nodiscard]] FlexiblePipelineResult schedule_flexible(
+    const core::ContinuousInstance& inst, const UnboundedSolution& unbounded,
+    IntervalAlgorithm algorithm = IntervalAlgorithm::kGreedyTracking);
 
 }  // namespace abt::busy

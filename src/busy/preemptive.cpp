@@ -13,7 +13,6 @@ namespace abt::busy {
 using core::ContinuousInstance;
 using core::Interval;
 using core::JobId;
-using core::PreemptiveBusySchedule;
 
 namespace {
 
@@ -169,35 +168,23 @@ PreemptiveBoundedSolution solve_preemptive_bounded(
       ids[cursor[c]++] = ranges[r].job;
     }
   }
+  // Cells are dealt in ascending order, so each job's pieces arrive in
+  // start order: a piece on the same machine that starts where the job's
+  // last piece ends extends it (cosmetic; keeps piece counts linear).
   for (std::size_t c = 0; c < cells.size(); ++c) {
     // Deal onto ceil(count/g) machines, filling g at a time: at most one
     // machine per cell is below capacity (charged to the span bound).
     for (std::size_t idx = 0; idx + offsets[c] < offsets[c + 1]; ++idx) {
       const int machine = static_cast<int>(idx) / inst.capacity();
-      out.schedule.pieces[static_cast<std::size_t>(ids[offsets[c] + idx])]
-          .push_back({machine, cells[c]});
-    }
-  }
-
-  // Merge adjacent same-machine pieces per job (cosmetic; keeps piece
-  // counts linear).
-  for (JobId j = 0; j < inst.size(); ++j) {
-    auto& pieces = out.schedule.pieces[static_cast<std::size_t>(j)];
-    std::sort(pieces.begin(), pieces.end(),
-              [](const PreemptiveBusySchedule::Piece& a,
-                 const PreemptiveBusySchedule::Piece& b) {
-                return a.run.lo < b.run.lo;
-              });
-    std::vector<PreemptiveBusySchedule::Piece> merged;
-    for (const auto& piece : pieces) {
-      if (!merged.empty() && merged.back().machine == piece.machine &&
-          std::abs(merged.back().run.hi - piece.run.lo) < kEps) {
-        merged.back().run.hi = piece.run.hi;
+      auto& pieces =
+          out.schedule.pieces[static_cast<std::size_t>(ids[offsets[c] + idx])];
+      if (!pieces.empty() && pieces.back().machine == machine &&
+          std::abs(pieces.back().run.hi - cells[c].lo) < kEps) {
+        pieces.back().run.hi = cells[c].hi;
       } else {
-        merged.push_back(piece);
+        pieces.push_back({machine, cells[c]});
       }
     }
-    pieces = std::move(merged);
   }
 
   out.busy_time = core::busy_cost(inst, out.schedule);

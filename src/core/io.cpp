@@ -1,9 +1,14 @@
 #include "core/io.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
+
+#include "core/assert.hpp"
 
 namespace abt::core {
 
@@ -150,16 +155,39 @@ void write_instance(std::ostream& out, const SlottedInstance& inst) {
   }
 }
 
+namespace {
+
+/// Room one %.17g real needs: sign, 17 digits, point and exponent fit.
+constexpr std::size_t kMaxRealChars = 32;
+
+char* put_real(char* first, double value) {
+  const std::to_chars_result res =
+      std::to_chars(first, first + kMaxRealChars, value,
+                    std::chars_format::general, 17);
+  ABT_ASSERT(res.ec == std::errc(), "real does not fit kMaxRealChars");
+  return res.ptr;
+}
+
+}  // namespace
+
+char* put_job_line(char* first, const ContinuousJob& job) {
+  char* p = std::copy_n("job ", 4, first);
+  p = put_real(p, job.release);
+  *p++ = ' ';
+  p = put_real(p, job.deadline);
+  *p++ = ' ';
+  return put_real(p, job.length);
+}
+
 void write_instance(std::ostream& out, const ContinuousInstance& inst) {
   out << "model continuous\ncapacity " << inst.capacity() << "\n";
-  // precision 17 == max_digits10: doubles survive the text round trip
-  // bit-for-bit. Restored so a long-lived caller stream is not left with
-  // 17-digit formatting.
-  const std::streamsize old_precision = out.precision(17);
+  // Each job line is formatted into one buffer and written at once.
+  std::array<char, kMaxJobLineChars + 1> line{};
   for (const ContinuousJob& j : inst.jobs()) {
-    out << "job " << j.release << ' ' << j.deadline << ' ' << j.length << "\n";
+    char* p = put_job_line(line.data(), j);
+    *p++ = '\n';
+    out.write(line.data(), p - line.data());
   }
-  out.precision(old_precision);
 }
 
 bool write_instance(std::ostream& out, const ProblemInstance& inst,

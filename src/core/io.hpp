@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -58,6 +59,16 @@ namespace abt::core {
 /// larger text is numbered over that whole text).
 [[nodiscard]] std::optional<ProblemInstance> parse_instance(
     LineCursor& lines, std::string* error = nullptr);
+
+/// Room put_job_line needs: "job " and three reals of at most 32 chars.
+inline constexpr std::size_t kMaxJobLineChars = 4 + 3 * 33;
+
+/// Writes the canonical `job release deadline length` directive (no
+/// newline) at `first` and returns its end. The reals carry 17 significant
+/// digits, as printf "%.17g" (which is what a stream prints at precision
+/// 17), so every double survives the text round trip bit for bit. `first`
+/// needs room for kMaxJobLineChars characters.
+char* put_job_line(char* first, const ContinuousJob& job);
 
 /// Serializers (lossless inverses of parse_instance).
 void write_instance(std::ostream& out, const SlottedInstance& inst);

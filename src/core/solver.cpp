@@ -25,6 +25,7 @@ ProblemInstance make_instance(SlottedInstance inst) {
   ProblemInstance out;
   out.family = Family::kActive;
   out.slotted = std::move(inst);
+  out.derived = std::make_shared<DerivedSlot>();
   return out;
 }
 
@@ -32,6 +33,7 @@ ProblemInstance make_instance(ContinuousInstance inst) {
   ProblemInstance out;
   out.family = Family::kBusy;
   out.continuous = std::move(inst);
+  out.derived = std::make_shared<DerivedSlot>();
   return out;
 }
 
@@ -44,6 +46,7 @@ ProblemInstance make_instance(
   ABT_ASSERT(out.kind != InstanceKind::kStandard,
              "standard instances use the typed make_instance overloads");
   out.extension = std::move(extension);
+  out.derived = std::make_shared<DerivedSlot>();
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -57,6 +58,17 @@ class InstanceExtension {
   virtual bool write_body(std::ostream& /*out*/) const { return false; }
 };
 
+/// Holder of one result derived from an instance that is a pure function of
+/// it, shared by every copy of the instance so the cells of one trial compute
+/// it once. Today the slot holds the busy g = infinity DP (the engine's
+/// solver registrations fill and read it); it is type-erased because core
+/// must not know busy types. `value` is null until the first result worth
+/// keeping is published, and is never replaced after that.
+struct DerivedSlot {
+  std::mutex mutex;
+  std::shared_ptr<const void> value;  ///< Guarded by `mutex`.
+};
+
 /// Uniform instance carrier: for the standard kinds exactly one of the two
 /// instance members is meaningful, selected by `family`; the extended kinds
 /// carry their model in `extension` instead. This is the single currency
@@ -70,6 +82,10 @@ struct ProblemInstance {
   ContinuousInstance continuous;  ///< Valid when family == kBusy.
   /// Set exactly when kind != kStandard.
   std::shared_ptr<const InstanceExtension> extension;
+  /// Created by every make_instance overload; copies share it. A
+  /// hand-built instance leaves it null and its solvers recompute instead
+  /// of sharing. Mutating the instance after construction leaves it stale.
+  std::shared_ptr<DerivedSlot> derived;
 };
 
 [[nodiscard]] ProblemInstance make_instance(SlottedInstance inst);

@@ -1,6 +1,8 @@
 #include "engine/adapters.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -45,15 +47,16 @@ std::string MultiWindowExtension::describe() const {
 }
 
 bool WeightedExtension::write_body(std::ostream& out) const {
-  // precision 17 == max_digits10: the doubles survive the text round trip
-  // bit-for-bit, exactly like the standard continuous writer (and like it,
-  // the caller's precision is restored).
-  const std::streamsize old_precision = out.precision(17);
+  // The standard continuous writer's job line (17-digit reals, bit-exact
+  // round trip) plus the width; each job's two lines go out in one write.
+  std::array<char, core::kMaxJobLineChars + 32> lines{};
   for (const busy::WeightedJob& wj : inst_.jobs()) {
-    out << "job " << wj.job.release << ' ' << wj.job.deadline << ' '
-        << wj.job.length << "\nweight " << wj.width << "\n";
+    char* p = core::put_job_line(lines.data(), wj.job);
+    p = std::copy_n("\nweight ", 8, p);
+    p = std::to_chars(p, lines.data() + lines.size(), wj.width).ptr;
+    *p++ = '\n';
+    out.write(lines.data(), p - lines.data());
   }
-  out.precision(old_precision);
   return true;
 }
 

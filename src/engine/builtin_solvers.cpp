@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "active/exact.hpp"
@@ -18,6 +20,7 @@
 #include "busy/special_cases.hpp"
 #include "busy/two_track_peeling.hpp"
 #include "busy/weighted.hpp"
+#include "core/assert.hpp"
 #include "core/sweep.hpp"
 #include "engine/adapters.hpp"
 
@@ -82,9 +85,56 @@ Solver interval_solver(std::string name, std::string guarantee, double factor,
   return s;
 }
 
+/// The instance's g = infinity DP (Theorem 4), solved once per instance:
+/// busy/dp-unbounded and the three section 4.3 pipelines all read it here.
+/// The slot is read under its lock; on a miss the DP runs under `ctx` with
+/// no lock held, so a cell never waits for another cell. The result is
+/// published only if the slot is still empty and `ctx` did not stop the
+/// run: an interrupted push-left fallback must not stand in for the
+/// optimum. Two cells that miss together both solve, and the first to
+/// publish wins; the DP is a pure function of the instance, so the loser's
+/// result is the same. A null slot (hand-built instance) just solves.
+std::shared_ptr<const busy::UnboundedSolution> unbounded_dp(
+    const ProblemInstance& inst, const RunContext* ctx) {
+  core::DerivedSlot* slot = inst.derived.get();
+  if (slot != nullptr) {
+    std::shared_ptr<const void> published;
+    {
+      const std::lock_guard<std::mutex> lock(slot->mutex);
+      published = slot->value;
+    }
+    if (published != nullptr) {
+      auto dp =
+          std::static_pointer_cast<const busy::UnboundedSolution>(published);
+      if constexpr (core::kAuditEnabled) {
+        // A slot outlives any mutation of the instance it was filled
+        // from; recomputing catches a stale one.
+        const busy::UnboundedSolution fresh =
+            busy::solve_unbounded(inst.continuous);
+        ABT_ASSERT(fresh.starts == dp->starts &&
+                       fresh.busy_time == dp->busy_time &&
+                       fresh.nodes == dp->nodes,
+                   "published g=inf DP differs from the instance's DP (was "
+                   "the instance mutated after make_instance?)");
+      }
+      return dp;
+    }
+  }
+  busy::UnboundedOptions options;
+  options.context = ctx;
+  auto dp = std::make_shared<const busy::UnboundedSolution>(
+      busy::solve_unbounded(inst.continuous, options));
+  if (slot != nullptr && !dp->timed_out) {
+    const std::lock_guard<std::mutex> lock(slot->mutex);
+    if (slot->value == nullptr) slot->value = dp;
+  }
+  return dp;
+}
+
 /// Section 4.3 pipeline: freeze with the g=infinity DP, then run the given
 /// interval algorithm. Registered for flexible instances only — on interval
-/// jobs the pipeline degenerates to the direct algorithm.
+/// jobs the pipeline degenerates to the direct algorithm. The pipelines pass
+/// no context to the DP, so a budget never truncates their freeze.
 Solver pipeline_solver(std::string name, std::string guarantee, double factor,
                        busy::IntervalAlgorithm algorithm) {
   Solver s;
@@ -95,9 +145,9 @@ Solver pipeline_solver(std::string name, std::string guarantee, double factor,
   s.applicable = flexible_jobs;
   s.check = core::check_standard_solution;
   s.run = [algorithm](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-    const busy::FlexiblePipelineResult result =
-        busy::schedule_flexible(inst.continuous, algorithm);
-    Solution sol = busy_solution(result.schedule, inst);
+    busy::FlexiblePipelineResult result = busy::schedule_flexible(
+        inst.continuous, *unbounded_dp(inst, nullptr), algorithm);
+    Solution sol = busy_solution(std::move(result.schedule), inst);
     sol.add_stat("opt_inf", result.opt_infinity);
     sol.add_stat("dp_exact", result.dp_exact ? 1.0 : 0.0);
     return sol;
@@ -286,12 +336,12 @@ void register_busy(core::SolverRegistry& registry) {
     s.applicable = always_applicable;
     s.check = core::check_standard_solution;
     s.run = [](const ProblemInstance& inst, const RunContext& /*ctx*/) {
-      const busy::PreemptiveBoundedSolution result =
+      busy::PreemptiveBoundedSolution result =
           busy::solve_preemptive_bounded(inst.continuous);
       Solution sol;
       sol.ok = true;
       sol.cost = result.busy_time;
-      sol.preemptive = result.schedule;
+      sol.preemptive = std::move(result.schedule);
       sol.add_stat("opt_inf", result.opt_infinity);
       sol.add_stat("lb", std::max(result.opt_infinity,
                                   inst.continuous.mass_lower_bound()));
@@ -312,10 +362,9 @@ void register_busy(core::SolverRegistry& registry) {
     s.applicable = always_applicable;
     s.check = core::check_standard_solution;
     s.run = [](const ProblemInstance& inst, const RunContext& ctx) {
-      busy::UnboundedOptions options;
-      options.context = &ctx;
-      const busy::UnboundedSolution dp =
-          busy::solve_unbounded(inst.continuous, options);
+      const std::shared_ptr<const busy::UnboundedSolution> shared =
+          unbounded_dp(inst, &ctx);
+      const busy::UnboundedSolution& dp = *shared;
       const core::ContinuousInstance frozen =
           busy::freeze_to_interval_instance(inst.continuous, dp);
       const int peak = core::max_concurrency(frozen.forced_intervals());
