@@ -1,10 +1,10 @@
 #pragma once
 
 // The one lexer of the repo's line formats: instance files, abtd payloads,
-// frame headers and cancel payloads, selector models, campaign files. A
-// line is a keyword and whitespace-separated tokens (space, \t, \r, \v,
-// \f); '#' starts a comment that runs to the end of its line. Numbers
-// follow parse_number everywhere, and diagnostics read "line N: <what>".
+// frame headers and cancel payloads, campaign files. A line is a keyword
+// and whitespace-separated tokens (space, \t, \r, \v, \f); '#' starts a
+// comment that runs to the end of its line. Numbers follow parse_number
+// everywhere, and diagnostics read "line N: <what>".
 
 #include <charconv>
 #include <cmath>

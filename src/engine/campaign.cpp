@@ -233,8 +233,7 @@ CampaignReport run_campaign_races(
       } else if (!subset_entries.empty()) {
         entries[p].push_back(subset_entries);
       } else {
-        entries[p].push_back(auto_entries(registry, inst, options.race.model,
-                                          options.race.top_k, base_ctx));
+        entries[p].push_back(auto_entries(registry, inst, base_ctx));
       }
     }
   }

@@ -143,26 +143,8 @@ RaceReport race(const core::SolverRegistry& registry,
 
 std::vector<RaceEntry> auto_entries(const core::SolverRegistry& registry,
                                     const core::ProblemInstance& inst,
-                                    const SelectorModel* model, int top_k,
                                     const core::RunContext& ctx) {
   std::vector<RaceEntry> entries;
-  if (model != nullptr) {
-    const std::vector<std::string> picked =
-        select_solvers(*model, extract_features(inst), top_k);
-    for (const std::string& name : picked) {
-      const core::Solver* solver = registry.find(name);
-      if (solver == nullptr) continue;
-      std::string why;
-      if (solver->family != inst.family || solver->kind != inst.kind ||
-          (solver->applicable && !solver->applicable(inst, ctx, &why))) {
-        continue;
-      }
-      entries.push_back({name, 0.0});
-    }
-    if (!entries.empty()) return entries;
-    // A model trained on other kinds may pick nothing applicable; racing
-    // everything is the honest fallback rather than failing the solve.
-  }
   for (const core::Solver* solver : registry.applicable_to(inst, ctx)) {
     entries.push_back({solver->name, 0.0});
   }

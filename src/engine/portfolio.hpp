@@ -28,7 +28,6 @@
 
 #include "core/solver.hpp"
 #include "engine/runner.hpp"
-#include "engine/selector.hpp"
 
 namespace abt::engine {
 
@@ -89,19 +88,17 @@ struct RaceReport {
                               const core::RunContext& parent = {},
                               const RaceOptions& options = {});
 
-/// Entries for `--race auto`: the selector model's ranked pick (top_k)
-/// filtered to solvers registered and applicable under `ctx`; without a
-/// model, every applicable solver in registration order.
+/// Entries for `--race auto`: every solver applicable to `inst` under
+/// `ctx`, in registration order.
 [[nodiscard]] std::vector<RaceEntry> auto_entries(
     const core::SolverRegistry& registry, const core::ProblemInstance& inst,
-    const SelectorModel* model = nullptr, int top_k = 3,
     const core::RunContext& ctx = {});
 
 /// Aligned text table of the race (one row per contestant + winner line).
 void print_race(std::ostream& os, const RaceReport& report);
 
-/// CSV rows: solver,cost,wall_ms,feasible,exact,timed_out,best_bound,
-/// winner,message.
+/// CSV rows: solver,verdict,cost,wall_ms,feasible,exact,timed_out,
+/// best_bound,winner,message.
 void write_race_csv(std::ostream& os, const RaceReport& report);
 
 /// Machine-readable JSON: a "race" object (winner, bounds, acceptance,

@@ -47,10 +47,16 @@ SlottedInstance random_feasible_slotted(Rng& rng,
   // further job may fit, so the loop also stops after a fixed attempt
   // budget and returns the (feasible) prefix built so far. The prefix is
   // held as one warm-started flow over slots 1..horizon (index t - 1), so
-  // each admission test routes only the new job's units.
-  abt::active::FeasibilityNetwork network(
-      static_cast<int>(std::max<SlotTime>(0, params.horizon)),
-      params.capacity);
+  // each admission test routes only the new job's units. A job whose
+  // length overflows the capacity g * horizon left by the admitted work
+  // cannot fit anywhere (pigeonhole), so it skips the flow; the draw and
+  // the attempt still count, keeping the output and the RNG stream those
+  // of the plain admission loop.
+  const SlotTime slots = std::max<SlotTime>(0, params.horizon);
+  abt::active::FeasibilityNetwork network(static_cast<int>(slots),
+                                          params.capacity);
+  const SlotTime capacity_units = params.capacity * slots;
+  SlotTime work = 0;
   std::vector<int> job_slots;
   int attempts = 0;
   const int attempt_budget = 60 * params.num_jobs + 200;
@@ -60,12 +66,14 @@ SlottedInstance random_feasible_slotted(Rng& rng,
     if (++attempts > 40 * params.num_jobs) {
       job = {0, params.horizon, 1};  // low-impact filler
     }
+    if (work + job.length > capacity_units) continue;
     job_slots.clear();
     for (SlotTime t = job.release + 1; t <= job.deadline; ++t) {
       job_slots.push_back(static_cast<int>(t - 1));
     }
     if (network.try_add_job(job.length, job_slots) ==
         abt::active::FeasStatus::kFeasible) {
+      work += job.length;
       jobs.push_back(job);
     }
   }

@@ -459,8 +459,7 @@ void Server::handle_solve(Connection& conn, const SolveRequest& request,
   if (request.race) {
     std::vector<engine::RaceEntry> entries;
     if (request.solvers.empty()) {
-      entries = engine::auto_entries(registry_, request.instance, nullptr, 3,
-                                     ctx);
+      entries = engine::auto_entries(registry_, request.instance, ctx);
     } else {
       entries.reserve(request.solvers.size());
       for (const std::string& name : request.solvers) {

@@ -139,23 +139,33 @@ TEST(FeasibilityNetwork, MultiWindowMinimalMatchesFrozen) {
 }
 
 TEST(FeasibilityNetwork, FeasibleSlottedGeneratorMatchesFrozen) {
+  const auto expect_frozen = [](const gen::SlottedParams& params,
+                                std::uint64_t seed) {
+    core::Rng a(seed);
+    core::Rng b(seed);
+    const SlottedInstance got = gen::random_feasible_slotted(a, params);
+    const SlottedInstance want = naive::random_feasible_slotted(b, params);
+    EXPECT_EQ(got.jobs(), want.jobs())
+        << "unit=" << params.unit_jobs << " n=" << params.num_jobs
+        << " g=" << params.capacity << " seed=" << seed;
+    EXPECT_EQ(a.engine()(), b.engine()()) << "rng streams diverged";
+    return got;
+  };
   for (const bool unit : {false, true}) {
     for (const int n : {8, 12, 24, 48}) {
       for (const int g : {1, 2, 4}) {
         for (std::uint64_t seed = 1; seed <= 11; ++seed) {
-          core::Rng a(seed);
-          core::Rng b(seed);
-          const auto params = slotted_params(n, g, unit);
-          const SlottedInstance got = gen::random_feasible_slotted(a, params);
-          const SlottedInstance want =
-              naive::random_feasible_slotted(b, params);
-          EXPECT_EQ(got.jobs(), want.jobs())
-              << "unit=" << unit << " n=" << n << " g=" << g
-              << " seed=" << seed;
-          EXPECT_EQ(a.engine()(), b.engine()()) << "rng streams diverged";
+          expect_frozen(slotted_params(n, g, unit), seed);
         }
       }
     }
+  }
+  // One machine over the default horizon 2n is saturated: the mean job
+  // length exceeds 2, so most of the 60 n + 200 draws overflow the
+  // remaining g * horizon units and skip the admission flow.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const gen::SlottedParams params = slotted_params(64, 1, false);
+    EXPECT_LT(expect_frozen(params, seed).size(), params.num_jobs);
   }
 }
 

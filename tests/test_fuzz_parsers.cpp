@@ -1,16 +1,16 @@
 // Seeded mutation fuzzing of every line-format reader: instance files
 // (core::parse_instance), abtd solve payloads and frames
-// (service::parse_solve_payload, service::read_frame), selector models
-// (engine::parse_model) and campaign grids (engine::parse_campaign).
+// (service::parse_solve_payload, service::read_frame) and campaign grids
+// (engine::parse_campaign).
 //
 // The seeds are the data/ corpus, payloads shaped like the svc-mixed
-// benchmark's requests, frame wires, a trained selector model and the
-// campaign presets. Every mutant gets one to three edits: byte flips,
-// token splices (keywords of every format and the number spellings the
-// strict reader must judge), line drops and line duplications. The
-// property: the mutant parses to a value whose write -> parse round trip
-// is a fixed point, or it fails with a "line N: " diagnostic whose N lies
-// within the input (one past the last line for end-of-input errors).
+// benchmark's requests, frame wires and the campaign presets. Every
+// mutant gets one to three edits: byte flips, token splices (keywords of
+// every format and the number spellings the strict reader must judge),
+// line drops and line duplications. The property: the mutant parses to a
+// value whose write -> parse round trip is a fixed point, or it fails with
+// a "line N: " diagnostic whose N lies within the input (one past the last
+// line for end-of-input errors).
 // Frame headers are single lines, so a rejected frame only needs a
 // non-empty diagnostic. Nothing may crash; the sanitizer build runs this
 // same loop, with the same seed and iteration count.
@@ -31,9 +31,7 @@
 #include "core/lines.hpp"
 #include "core/rng.hpp"
 #include "engine/adapters.hpp"
-#include "engine/builtin_solvers.hpp"
 #include "engine/campaign.hpp"
-#include "engine/selector.hpp"
 #include "service/protocol.hpp"
 
 namespace abt {
@@ -42,8 +40,11 @@ namespace {
 constexpr std::uint64_t kFuzzSeed = 15;
 constexpr int kMutantsPerSeed = 1500;
 
-/// Spliced tokens: directive words of the four formats and the frame
+/// Spliced tokens: directive words of the line formats and the frame
 /// header, plus number spellings at and beyond every edge of the grammar.
+/// The words of the retired selector-model format stay in the list: the
+/// mutator draws token indices from it, so removing them would change
+/// every other reader's mutation stream.
 const std::vector<std::string>& splice_tokens() {
   static const std::vector<std::string> kTokens = {
       "model", "slotted", "continuous", "weighted", "multi-window",
@@ -360,51 +361,6 @@ TEST(FuzzParsers, FrameWires) {
   wire_of(service::FrameType::kCancel, "id req-7\n", {});
   wire_of(service::FrameType::kStats, "", {});
   fuzz(wires, 3, check_frame);
-}
-
-// ---------------------------------------------------------------------------
-// Selector model.
-
-void expect_model_fixed_point(const engine::SelectorModel& model) {
-  std::stringstream once;
-  engine::write_model(once, model);
-  std::string error;
-  const auto back = engine::parse_model(once, &error);
-  ASSERT_TRUE(back.has_value()) << error << "\nwritten:\n" << once.str();
-  EXPECT_EQ(*back, model);
-}
-
-bool check_model(const std::string& text) {
-  std::istringstream in(text);
-  std::string error;
-  const auto model = engine::parse_model(in, &error);
-  if (!model.has_value()) {
-    EXPECT_TRUE(numbered_within(error, text)) << "input:\n" << text;
-    return false;
-  }
-  expect_model_fixed_point(*model);
-  return true;
-}
-
-TEST(FuzzParsers, TrainedSelectorModel) {
-  engine::CampaignGrid grid;
-  grid.scenarios = {"interval", "weighted"};
-  grid.ns = {8};
-  grid.gs = {3};
-  engine::CampaignOptions options;
-  options.trials = 1;
-  options.threads = 1;
-  std::string error;
-  const auto report =
-      engine::run_campaign(engine::shared_registry(), grid, options, &error);
-  ASSERT_TRUE(report.has_value()) << error;
-  std::stringstream csv;
-  engine::write_campaign_csv(csv, *report);
-  const auto model = engine::train_selector(csv, &error);
-  ASSERT_TRUE(model.has_value()) << error;
-  std::ostringstream text;
-  engine::write_model(text, *model);
-  fuzz({text.str()}, 4, check_model);
 }
 
 // ---------------------------------------------------------------------------
